@@ -369,13 +369,8 @@ impl<O: PipelineObserver> Core<O> {
     /// count) is deliberately excluded: the fingerprint answers "did the
     /// program compute the same thing", not "did it take the same time".
     pub fn arch_fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = specrun_mem::Fnv1a::new();
+        let mut mix = |v: u64| h.write(&v.to_le_bytes());
         for i in 0..specrun_isa::NUM_INT_REGS {
             let r = IntReg::new(i as u8).expect("index in range");
             mix(self.read_int_reg(r));
@@ -385,7 +380,7 @@ impl<O: PipelineObserver> Core<O> {
             mix(self.read_fp_reg(r));
         }
         mix(u64::from(self.halted));
-        h
+        h.finish()
     }
 
     /// Number of entries currently resident in the defense's SL cache.

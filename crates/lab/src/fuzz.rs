@@ -24,6 +24,7 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 
 use specrun::plan::{run_plan, try_run_plan, try_run_plan_governed, PlanOutcome};
+use specrun_mem::fnv1a;
 use specrun_workloads::clock::WallClock;
 use specrun_workloads::fuzz::shrink_plan;
 use specrun_workloads::harness::{default_threads, try_parallel_map_with, RunError};
@@ -34,7 +35,6 @@ use specrun_workloads::supervisor::{
 
 use crate::journal::{self, Journal, JournalError};
 use crate::json::Json;
-use crate::scenario::fnv1a;
 use crate::sink::{ArtifactSink, FsSink};
 
 /// Default campaign seed (the CI soak seed).

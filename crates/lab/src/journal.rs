@@ -26,7 +26,8 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::scenario::fnv1a;
+use specrun_mem::fnv1a;
+
 use crate::sink::ArtifactSink;
 
 /// First token pair of every journal; bump the version when the entry

@@ -11,6 +11,7 @@
 //! speedup > 1 on mcf") whose pass/fail the CI reproduction gate enforces.
 
 use specrun_cpu::CpuConfig;
+use specrun_mem::fnv1a;
 use specrun_workloads::metrics::MetricSet;
 
 pub use specrun_workloads::metrics::MetricSource;
@@ -272,15 +273,6 @@ impl std::fmt::Debug for Scenario {
 /// cache geometry, runahead policy, defense knobs — changes the digest.
 pub fn config_digest(config: &CpuConfig) -> u64 {
     fnv1a(format!("{config:?}").as_bytes())
-}
-
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

@@ -225,8 +225,10 @@ fn load_events(path: &Path) -> Result<Vec<PipelineEvent>, String> {
         read_trace_file(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     if decoded.torn_tail {
         eprintln!(
-            "warning: {} has a torn tail; the final partial block was dropped",
-            path.display()
+            "warning: {} has a torn tail (no trailer): {} byte(s) after the last complete \
+             block were dropped",
+            path.display(),
+            decoded.dropped_bytes
         );
     }
     Ok(decoded.events)
@@ -397,6 +399,27 @@ mod tests {
         assert_eq!(trace_command(&diff).unwrap(), 1, "the machines must diverge");
         let same = strings(&["diff", attacked.to_str().unwrap(), attacked.to_str().unwrap()]);
         assert_eq!(trace_command(&same).unwrap(), 0, "a trace never diverges from itself");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_logs_replay_and_flipped_lengths_exit_2() {
+        let dir = scratch("damage");
+        let log = dir.join("t.bin");
+        let args = strings(&["record", "--out", log.to_str().unwrap()]);
+        assert_eq!(trace_command(&args).unwrap(), 0);
+        let bytes = std::fs::read(&log).unwrap();
+        let replay = |name: &str, damaged: &[u8]| {
+            let path = dir.join(name);
+            std::fs::write(&path, damaged).unwrap();
+            trace_command(&strings(&["replay", path.to_str().unwrap()])).unwrap()
+        };
+        assert_eq!(replay("torn.bin", &bytes[..bytes.len() - 7]), 0, "a torn tail replays");
+        // Byte 18 is the high byte of the first block's length varint; its
+        // continuation bit makes the block overrun the log.
+        let mut flipped = bytes.clone();
+        flipped[18] ^= 0x80;
+        assert_eq!(replay("len.bin", &flipped), 2, "a complete log's bad length is corrupt");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

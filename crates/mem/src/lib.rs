@@ -11,7 +11,8 @@
 //! * [`RunaheadCache`] — byte-granular store buffer for runahead mode with
 //!   INV poisoning (Mutlu et al., HPCA'03),
 //! * [`SlCache`] — the Speculative-Load "L0" cache of the paper's secure
-//!   runahead defense (§6), with `Btag`/`IS` taint tags.
+//!   runahead defense (§6), with `Btag`/`IS` taint tags,
+//! * [`Fnv1a`] — the FNV-1a 64 digest every crate above shares.
 //!
 //! Caches model presence and timing; functional bytes always live in the
 //! backing store. The covert channel the attack measures is exactly the
@@ -32,6 +33,7 @@
 mod backing;
 mod cache;
 mod dram;
+mod fnv;
 mod hierarchy;
 mod runahead_cache;
 mod sl_cache;
@@ -41,6 +43,7 @@ mod table;
 pub use backing::BackingStore;
 pub use cache::{Cache, CacheConfig, Evicted};
 pub use dram::{Dram, DramConfig};
+pub use fnv::{fnv1a, Fnv1a};
 pub use hierarchy::{Access, AccessKind, FillPolicy, HitLevel, MemConfig, MemHierarchy};
 pub use runahead_cache::{RunaheadByte, RunaheadCache, RunaheadRead};
 pub use sl_cache::{BranchId, Btag, SlCache, SlTags};

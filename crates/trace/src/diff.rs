@@ -105,7 +105,7 @@ pub fn stream_stats(events: &[PipelineEvent]) -> StreamStats {
 
 /// Where an event sits in its stream: the anchors a divergence report
 /// carries.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Anchors {
     index: usize,
     commit_anchor: u64,
@@ -114,26 +114,51 @@ struct Anchors {
     transient_fills_before: u64,
 }
 
-/// One stream split into per-kind lanes, each element keeping its
-/// normalized form, its original event and its stream anchors.
-fn lanes(events: &[PipelineEvent]) -> [Vec<(NormEvent, PipelineEvent, Anchors)>; LANES] {
-    let mut lanes: [Vec<(NormEvent, PipelineEvent, Anchors)>; LANES] = Default::default();
-    let mut at = Anchors {
-        index: 0,
-        commit_anchor: 0,
-        anchor_pc: None,
-        runahead_episode: 0,
-        transient_fills_before: 0,
-    };
+/// One stream split into per-kind lanes of stream indices.
+///
+/// # Panics
+///
+/// If the stream holds more than `u32::MAX` events.
+fn lanes(events: &[PipelineEvent]) -> [Vec<u32>; LANES] {
+    assert!(u32::try_from(events.len()).is_ok(), "a trace holds at most u32::MAX events");
+    let mut lanes: [Vec<u32>; LANES] = Default::default();
     for (index, event) in events.iter().enumerate() {
+        lanes[lane_of(event)].push(index as u32);
+    }
+    lanes
+}
+
+/// A lane's first mismatch: its position in the lane, and the event that
+/// anchors it — trace A's, unless A's lane is exhausted there.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    lane: usize,
+    position: usize,
+    on_a: bool,
+    /// `at.index` is the anchoring event's stream index; the other
+    /// anchors are filled in by [`anchor`].
+    at: Anchors,
+}
+
+/// Fills in the anchors of `candidates` (all from `events`, ascending by
+/// stream index) with one prefix scan that stops at the last of them.
+fn anchor(events: &[PipelineEvent], candidates: &mut [Candidate]) {
+    let mut pending = candidates.iter_mut().peekable();
+    let mut at = Anchors::default();
+    for (index, event) in events.iter().enumerate() {
+        if pending.peek().is_none() {
+            break;
+        }
         // A divergence *inside* episode N reads as "at the Nth
-        // RunaheadEnter", so the episode counter bumps before filing the
-        // enter event itself.
+        // RunaheadEnter", so the episode counter bumps before the enter
+        // event itself is anchored.
         if matches!(event, PipelineEvent::RunaheadEnter { .. }) {
             at.runahead_episode += 1;
         }
         at.index = index;
-        lanes[lane_of(event)].push((normalize(event), *event, at));
+        if let Some(candidate) = pending.next_if(|c| c.at.index == index) {
+            candidate.at = at;
+        }
         match *event {
             PipelineEvent::Commit { pc, .. } => {
                 at.commit_anchor += 1;
@@ -143,7 +168,6 @@ fn lanes(events: &[PipelineEvent]) -> [Vec<(NormEvent, PipelineEvent, Anchors)>;
             _ => {}
         }
     }
-    lanes
 }
 
 /// The first point where two traces disagree, with the context needed to
@@ -212,40 +236,232 @@ impl Divergence {
 /// when every lane matches (streams that differ only in cross-kind
 /// interleaving, cycle timings or taint annotations are behaviourally
 /// identical). See the module docs for the alignment model.
+///
+/// # Panics
+///
+/// If either stream holds more than `u32::MAX` events.
 pub fn first_divergence(a: &[PipelineEvent], b: &[PipelineEvent]) -> Option<Divergence> {
     let la = lanes(a);
     let lb = lanes(b);
-    let mut best: Option<Divergence> = None;
-    let mut best_key = (u64::MAX, usize::MAX);
-    for lane in 0..LANES {
-        let (xa, xb) = (&la[lane], &lb[lane]);
-        let common = xa.len().min(xb.len());
-        let mismatch = (0..common)
-            .find(|&i| xa[i].0 != xb[i].0)
-            .or_else(|| (xa.len() != xb.len()).then_some(common));
-        let Some(i) = mismatch else { continue };
-        // Anchor on whichever side actually has the event there.
-        let at = if i < xa.len() { xa[i].2 } else { xb[i].2 };
-        let key = (at.commit_anchor, at.index);
-        if key < best_key {
-            best_key = key;
-            best = Some(Divergence {
-                index: at.index,
-                commit_anchor: at.commit_anchor,
-                anchor_pc: at.anchor_pc,
-                runahead_episode: at.runahead_episode,
-                transient_fills_before: at.transient_fills_before,
-                a: xa.get(i).map(|e| e.1),
-                b: xb.get(i).map(|e| e.1),
-            });
-        }
-    }
-    best
+    let mut candidates: Vec<Candidate> = (0..LANES)
+        .filter_map(|lane| {
+            let (xa, xb) = (&la[lane], &lb[lane]);
+            let common = xa.len().min(xb.len());
+            let position = (0..common)
+                .find(|&i| normalize(&a[xa[i] as usize]) != normalize(&b[xb[i] as usize]))
+                .or_else(|| (xa.len() != xb.len()).then_some(common))?;
+            let on_a = position < xa.len();
+            let index = if on_a { xa[position] } else { xb[position] } as usize;
+            Some(Candidate { lane, position, on_a, at: Anchors { index, ..Anchors::default() } })
+        })
+        .collect();
+    candidates.sort_unstable_by_key(|c| (!c.on_a, c.at.index));
+    let split = candidates.iter().filter(|c| c.on_a).count();
+    let (on_a, on_b) = candidates.split_at_mut(split);
+    anchor(a, on_a);
+    anchor(b, on_b);
+    // Earliest by (commit anchor, stream index); on a tie, the lower lane.
+    let best = candidates.iter().min_by_key(|c| (c.at.commit_anchor, c.at.index, c.lane))?;
+    let at = best.at;
+    Some(Divergence {
+        index: at.index,
+        commit_anchor: at.commit_anchor,
+        anchor_pc: at.anchor_pc,
+        runahead_episode: at.runahead_episode,
+        transient_fills_before: at.transient_fills_before,
+        a: la[best.lane].get(best.position).map(|&k| a[k as usize]),
+        b: lb[best.lane].get(best.position).map(|&k| b[k as usize]),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The tuple-lane algorithm `first_divergence` replaced, kept as the
+    /// reference its index-lane form must agree with: every lane element
+    /// carries its normalized form, its event and its anchors, all built
+    /// in one pass over the whole stream.
+    mod reference {
+        use super::super::*;
+
+        /// One stream split into per-kind lanes, each element keeping its
+        /// normalized form, its original event and its stream anchors.
+        fn lanes(events: &[PipelineEvent]) -> [Vec<(NormEvent, PipelineEvent, Anchors)>; LANES] {
+            let mut lanes: [Vec<(NormEvent, PipelineEvent, Anchors)>; LANES] = Default::default();
+            let mut at = Anchors {
+                index: 0,
+                commit_anchor: 0,
+                anchor_pc: None,
+                runahead_episode: 0,
+                transient_fills_before: 0,
+            };
+            for (index, event) in events.iter().enumerate() {
+                // A divergence *inside* episode N reads as "at the Nth
+                // RunaheadEnter", so the episode counter bumps before filing the
+                // enter event itself.
+                if matches!(event, PipelineEvent::RunaheadEnter { .. }) {
+                    at.runahead_episode += 1;
+                }
+                at.index = index;
+                lanes[lane_of(event)].push((normalize(event), *event, at));
+                match *event {
+                    PipelineEvent::Commit { pc, .. } => {
+                        at.commit_anchor += 1;
+                        at.anchor_pc = Some(pc);
+                    }
+                    PipelineEvent::CacheFill { transient: true, .. } => {
+                        at.transient_fills_before += 1
+                    }
+                    _ => {}
+                }
+            }
+            lanes
+        }
+
+        pub(super) fn first_divergence(
+            a: &[PipelineEvent],
+            b: &[PipelineEvent],
+        ) -> Option<Divergence> {
+            let la = lanes(a);
+            let lb = lanes(b);
+            let mut best: Option<Divergence> = None;
+            let mut best_key = (u64::MAX, usize::MAX);
+            for lane in 0..LANES {
+                let (xa, xb) = (&la[lane], &lb[lane]);
+                let common = xa.len().min(xb.len());
+                let mismatch = (0..common)
+                    .find(|&i| xa[i].0 != xb[i].0)
+                    .or_else(|| (xa.len() != xb.len()).then_some(common));
+                let Some(i) = mismatch else { continue };
+                // Anchor on whichever side actually has the event there.
+                let at = if i < xa.len() { xa[i].2 } else { xb[i].2 };
+                let key = (at.commit_anchor, at.index);
+                if key < best_key {
+                    best_key = key;
+                    best = Some(Divergence {
+                        index: at.index,
+                        commit_anchor: at.commit_anchor,
+                        anchor_pc: at.anchor_pc,
+                        runahead_episode: at.runahead_episode,
+                        transient_fills_before: at.transient_fills_before,
+                        a: xa.get(i).map(|e| e.1),
+                        b: xb.get(i).map(|e| e.1),
+                    });
+                }
+            }
+            best
+        }
+    }
+
+    /// A small-alphabet event, so two random streams share many events.
+    fn event() -> impl Strategy<Value = PipelineEvent> {
+        (0u8..8, 0u64..4, 0u8..8, 0u64..64).prop_map(|(kind, field, flags, cycle)| {
+            let flag = |bit: u8| flags >> bit & 1 != 0;
+            match kind {
+                0 => PipelineEvent::RunaheadEnter { cycle, stall_pc: field },
+                1 => PipelineEvent::RunaheadExit { cycle, window: field },
+                2 => PipelineEvent::Squash { cycle, squashed: field },
+                3 => PipelineEvent::Commit { cycle, pc: 0x1000 + field },
+                4 => PipelineEvent::BranchResolved {
+                    cycle,
+                    pc: field,
+                    taken: flag(0),
+                    mispredicted: flag(1),
+                },
+                5 => PipelineEvent::TransientLoad { cycle, pc: field, addr: 64, tainted: flag(0) },
+                6 => PipelineEvent::CacheFill {
+                    cycle,
+                    level: if flag(1) { HitLevel::Mem } else { HitLevel::L2 },
+                    line: field,
+                    transient: flag(0),
+                },
+                _ => PipelineEvent::Flush { cycle, line: field },
+            }
+        })
+    }
+
+    /// Derives a second stream from `base` by `edits`: timing-only and
+    /// taint-only changes, interleaving skew, prefix cuts, and real
+    /// behavioural edits (delete, replace, insert).
+    fn mutate(
+        base: &[PipelineEvent],
+        edits: &[(u8, u64)],
+        fresh: PipelineEvent,
+    ) -> Vec<PipelineEvent> {
+        let mut out = base.to_vec();
+        for &(edit, r) in edits {
+            let at = if out.is_empty() { 0 } else { r as usize % out.len() };
+            match edit {
+                0 => {
+                    for (i, e) in out.iter_mut().enumerate() {
+                        *e = with_cycle(*e, r.wrapping_mul(i as u64 + 1) % 1000);
+                    }
+                }
+                1 => {
+                    if let Some(PipelineEvent::TransientLoad { tainted, .. }) = out.get_mut(at) {
+                        *tainted = !*tainted;
+                    }
+                }
+                2 if at + 1 < out.len() => out.swap(at, at + 1),
+                3 => out.truncate(r as usize % (out.len() + 1)),
+                4 if !out.is_empty() => {
+                    out.remove(at);
+                }
+                5 if !out.is_empty() => out[at] = fresh,
+                _ => out.insert(at, fresh),
+            }
+        }
+        out
+    }
+
+    fn with_cycle(event: PipelineEvent, c: u64) -> PipelineEvent {
+        match event {
+            PipelineEvent::RunaheadEnter { stall_pc, .. } => {
+                PipelineEvent::RunaheadEnter { cycle: c, stall_pc }
+            }
+            PipelineEvent::RunaheadExit { window, .. } => {
+                PipelineEvent::RunaheadExit { cycle: c, window }
+            }
+            PipelineEvent::Squash { squashed, .. } => PipelineEvent::Squash { cycle: c, squashed },
+            PipelineEvent::Commit { pc, .. } => PipelineEvent::Commit { cycle: c, pc },
+            PipelineEvent::BranchResolved { pc, taken, mispredicted, .. } => {
+                PipelineEvent::BranchResolved { cycle: c, pc, taken, mispredicted }
+            }
+            PipelineEvent::TransientLoad { pc, addr, tainted, .. } => {
+                PipelineEvent::TransientLoad { cycle: c, pc, addr, tainted }
+            }
+            PipelineEvent::CacheFill { level, line, transient, .. } => {
+                PipelineEvent::CacheFill { cycle: c, level, line, transient }
+            }
+            PipelineEvent::Flush { line, .. } => PipelineEvent::Flush { cycle: c, line },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The index-lane diff reports exactly what the tuple-lane
+        /// reference reports, on unrelated streams and on streams one
+        /// edit list apart.
+        #[test]
+        fn index_lanes_match_the_tuple_lane_reference(
+            base in proptest::collection::vec(event(), 0..48),
+            other in proptest::collection::vec(event(), 0..48),
+            edits in proptest::collection::vec((0u8..7, any::<u64>()), 0..5),
+            fresh in event(),
+            shape in 0u8..3,
+        ) {
+            let derived = mutate(&base, &edits, fresh);
+            let (a, b) = match shape {
+                0 => (&base, &derived),
+                1 => (&derived, &base),
+                _ => (&base, &other),
+            };
+            prop_assert_eq!(first_divergence(a, b), reference::first_divergence(a, b));
+        }
+    }
 
     fn commit(cycle: u64, pc: u64) -> PipelineEvent {
         PipelineEvent::Commit { cycle, pc }

@@ -10,9 +10,9 @@
 //! * **Record** — [`RecordingObserver`] is a [`PipelineObserver`] that
 //!   captures the live event stream; [`encode_events`] serializes it into
 //!   a compact delta-encoded binary log (varint cycle deltas,
-//!   per-event-kind tags, framed blocks whose trailing FNV digests make a
-//!   torn tail self-identifying — the campaign-journal discipline, in
-//!   binary). [`TraceSink`] is the atomic-write seam; `specrun-lab`
+//!   per-event-kind tags, FNV-digested blocks and a self-checking trailer
+//!   that tells a torn tail from corruption — the campaign-journal
+//!   discipline, in binary). [`TraceSink`] is the atomic-write seam; `specrun-lab`
 //!   adapts its `ArtifactSink` onto it so chaos fault injection covers
 //!   trace writes too.
 //! * **Replay** — [`decode_events`] recovers the stream and [`replay`]
