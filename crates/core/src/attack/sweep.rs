@@ -56,8 +56,6 @@ pub struct SweepTrial {
 pub struct SweepReport {
     /// Per-trial outcomes, in trial order.
     pub trials: Vec<SweepTrial>,
-    /// Worker threads actually used.
-    pub threads: usize,
 }
 
 impl SweepReport {
@@ -85,10 +83,9 @@ impl SweepReport {
 /// parallel, each with a per-trial random secret, and aggregates the
 /// results. Deterministic for a fixed seed regardless of thread count.
 pub fn run_pht_sweep(cfg: &SweepConfig) -> SweepReport {
-    let threads = if cfg.threads == 0 { harness::default_threads() } else { cfg.threads };
     let specs: Vec<TrialSpec> =
         harness::ConfigMatrix::new(cfg.machine.clone()).trials(cfg.trials).seed(cfg.seed).build();
-    let trials = parallel_map(&specs, threads, |i, spec| {
+    let trials = parallel_map(&specs, cfg.threads, |i, spec| {
         let mut rng = spec.rng();
         // Avoid 0: probe entry 0 is warmed by training and excluded by the
         // analyzer, so a 0 secret could never be recovered.
@@ -98,7 +95,7 @@ pub fn run_pht_sweep(cfg: &SweepConfig) -> SweepReport {
         let outcome = run_pht_poc(&mut session, &poc);
         SweepTrial { id: i, secret, outcome }
     });
-    SweepReport { trials, threads }
+    SweepReport { trials }
 }
 
 #[cfg(test)]

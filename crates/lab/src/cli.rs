@@ -157,7 +157,7 @@ pub fn main() -> i32 {
                 2
             }
         },
-        Some("perf") => match PerfOptions::from_env().apply_args(&args[1..]) {
+        Some("perf") => match PerfOptions::default().apply_args(&args[1..]) {
             Ok(opts) => perf::run(&opts),
             Err(e) => {
                 eprintln!("error: {e}");
@@ -215,19 +215,6 @@ pub fn main() -> i32 {
             2
         }
     }
-}
-
-/// The legacy-binary entry point: `fig7`, `table1`, … are thin aliases for
-/// `specrun-lab run <name> --no-artifacts` at full fidelity. Like the
-/// pre-registry binaries they only print — overwriting a prior campaign's
-/// `LAB_report.json` from a compatibility alias would be a destructive
-/// surprise; use `specrun-lab run` for artifacts.
-pub fn legacy_main(name: &str) -> ! {
-    let code = run_command(&[name.to_string(), "--no-artifacts".to_string()]).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        2
-    });
-    std::process::exit(code)
 }
 
 fn list() {

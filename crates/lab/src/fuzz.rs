@@ -5,12 +5,16 @@
 //! each one twice through [`specrun::run_plan`] (the re-run feeds the
 //! determinism oracle), and checks the [`INVARIANTS`] registry — the
 //! cross-cutting claims that must hold for *every* victim shape the
-//! grammar can produce, not just the paper's hand-written PoCs. Trials fan
-//! out over [`try_parallel_map_with`], so a panicking plan becomes a reportable
-//! failing case rather than killing the campaign; every failing plan is
-//! then minimized by [`shrink_plan`] while preserving at least one of its
-//! originally-violated invariants, and serialized (original + shrunk) to a
-//! replayable `fail_<index>.json`.
+//! grammar can produce, not just the paper's hand-written PoCs. Plans fan
+//! out over the campaign executor, [`supervised_map_with`], on one
+//! execution path: every plan runs governed by a cancel token (one compare
+//! per simulated cycle, one heartbeat per 4096), so the supervision
+//! options (`--deadline-ms`, `--retries`, `--max-failure-rate`) only
+//! change the policy around a plan, never how it runs. A panicking plan
+//! becomes a reportable failing case rather than killing the campaign;
+//! every failing plan is then minimized by [`shrink_plan`] while
+//! preserving at least one of its originally-violated invariants, and
+//! serialized (original + shrunk) to a replayable `fail_<index>.json`.
 //!
 //! The campaign summary (`FUZZ_report.json`) is byte-stable across runs
 //! and thread counts for a fixed seed — the property the CI `fuzz-soak`
@@ -27,10 +31,10 @@ use specrun::plan::{run_plan, try_run_plan, try_run_plan_governed, PlanOutcome};
 use specrun_mem::fnv1a;
 use specrun_workloads::clock::WallClock;
 use specrun_workloads::fuzz::shrink_plan;
-use specrun_workloads::harness::{default_threads, try_parallel_map_with, RunError};
+use specrun_workloads::harness::RunError;
 use specrun_workloads::plan::{GadgetKind, Plan, PlanPolicy};
 use specrun_workloads::supervisor::{
-    supervised_map_with, CancelToken, SupervisorConfig, UnitCtx, UnitOutcome,
+    panic_message, supervised_map_with, CancelToken, SupervisorConfig, UnitCtx, UnitOutcome,
 };
 
 use crate::journal::{self, Journal, JournalError};
@@ -314,12 +318,7 @@ pub fn checked_violations(plan: &Plan, invert: Option<&str>) -> Vec<Violation> {
             detail: run_error.to_string(),
         }],
         Err(payload) => {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            vec![Violation { invariant: "panic".to_string(), detail: message }]
+            vec![Violation { invariant: "panic".to_string(), detail: panic_message(payload) }]
         }
     }
 }
@@ -430,15 +429,6 @@ impl FuzzOptions {
             breaker_min_units: self.breaker_min_units,
             ..SupervisorConfig::default()
         }
-    }
-
-    /// Whether the campaign runs under the supervisor (any supervision
-    /// feature on, or a supervision chaos hook armed). A plain campaign
-    /// keeps the monitor-free harness path.
-    fn supervised(&self) -> bool {
-        self.supervisor_config().is_active()
-            || !self.chaos_flaky_plans.is_empty()
-            || !self.chaos_sick_plans.is_empty()
     }
 
     /// The journal header string: everything that determines the
@@ -567,34 +557,12 @@ pub fn campaign(opts: &FuzzOptions) -> CampaignResult {
 
 /// One plan's worker-side outcome: its violations, plus the evaluation
 /// digest journaled with a pass (0 when the plan never completed).
-fn plan_outcome(plan: &Plan, invert: Option<&str>, panic_plans: &[u64]) -> (Vec<Violation>, u64) {
-    assert!(
-        !panic_plans.contains(&plan.index),
-        "chaos: injected panic evaluating plan {}",
-        plan.index
-    );
-    match try_evaluate(plan) {
-        Ok(eval) => {
-            let digest = eval_digest(&eval);
-            (violations_for(plan, &eval, invert), digest)
-        }
-        Err(run_error) => (
-            vec![Violation {
-                invariant: RUN_ERROR_VIOLATION.to_string(),
-                detail: run_error.to_string(),
-            }],
-            0,
-        ),
-    }
-}
-
-/// [`plan_outcome`] for the supervised path. Plan-level failures (budget
-/// exhaustion, wedged core) stay **in-band** — they are deterministic
-/// results, reported exactly as on the plain path and never retried. Only
-/// supervision-layer failures (cooperative cancellation, injected IO
-/// flakes) return `Err`, handing the supervisor something a retry could
-/// plausibly heal.
-fn supervised_plan_outcome(
+/// Plan-level failures (budget exhaustion, wedged core) stay **in-band** —
+/// they are deterministic results, reported as `run_error` violations and
+/// never retried. Only supervision-layer failures (cooperative
+/// cancellation, injected IO flakes) return `Err`, handing the supervisor
+/// something a retry could plausibly heal.
+fn plan_outcome(
     plan: &Plan,
     invert: Option<&str>,
     opts: &FuzzOptions,
@@ -633,9 +601,10 @@ fn supervised_plan_outcome(
     }
 }
 
-/// Renders a supervised unit's terminal failure as the single violation
-/// the report carries for that plan.
-fn supervised_violation(error: &RunError, history: &[String], quarantined: bool) -> Violation {
+/// Renders a unit's terminal failure (a panic, or a supervision error that
+/// exhausted its retries) as the single violation the report carries for
+/// that plan.
+fn unit_failure_violation(error: &RunError, history: &[String], quarantined: bool) -> Violation {
     let (invariant, base) = match error {
         RunError::Panic(e) => ("panic", e.message.clone()),
         other => (RUN_ERROR_VIOLATION, other.to_string()),
@@ -664,7 +633,6 @@ fn campaign_with(
     let invert = opts.invert.as_deref();
     let plans: Vec<Plan> =
         (0..opts.plans).map(|i| Plan::generate(opts.seed, i, opts.quick)).collect();
-    let threads = if opts.threads == 0 { default_threads() } else { opts.threads };
     let header = opts.journal_header();
 
     let journal = journal.map(|(sink, path)| Journal::new(sink, path));
@@ -693,10 +661,10 @@ fn campaign_with(
     }
 
     // Fan out over the plans the journal does not cover; a panicking plan
-    // surfaces as a TrialError, not a dead run. The completion hook
+    // surfaces as a `RunError::Panic`, not a dead run. The completion hook
     // journals each plan the moment it finishes, from the worker thread —
-    // final attempts only on the supervised path, since the hook fires
-    // once per unit after its retry loop resolves.
+    // final attempts only, since the hook fires once per unit after its
+    // retry loop resolves.
     let pending: Vec<&Plan> = plans.iter().filter(|p| !skip.contains(&p.index)).collect();
     let journal_error: Mutex<Option<String>> = Mutex::new(None);
     let journal_append = |index: u64, payload: &str| {
@@ -715,88 +683,58 @@ fn campaign_with(
     let mut panics = 0u64;
     let mut quarantined = 0u64;
     let mut skipped_plans: BTreeSet<u64> = BTreeSet::new();
-    let mut breaker_tripped = false;
-
-    if opts.supervised() {
-        let cfg = opts.supervisor_config();
-        let clock = WallClock::new();
-        let report = supervised_map_with(
-            &pending,
-            threads,
-            &cfg,
-            &clock,
-            |_, plan, ctx| supervised_plan_outcome(plan, invert, opts, ctx),
-            |i, outcome| {
-                let payload = match outcome {
-                    UnitOutcome::Done { result: (violations, digest), .. } => {
-                        if violations.is_empty() {
-                            format!("ok {digest:016x}")
-                        } else {
-                            fail_payload(violations)
-                        }
-                    }
-                    UnitOutcome::Failed { error, .. } | UnitOutcome::Quarantined { error, .. } => {
-                        match error {
-                            RunError::Panic(_) => "fail panic".to_string(),
-                            _ => format!("fail {RUN_ERROR_VIOLATION}"),
-                        }
-                    }
-                    // Never journaled: a resume must re-run skipped plans.
-                    UnitOutcome::Skipped => return,
-                };
-                journal_append(pending[i].index, &payload);
-            },
-        );
-        breaker_tripped = report.breaker_tripped;
-        for (plan, outcome) in pending.iter().zip(report.outcomes) {
-            let violations = match outcome {
-                UnitOutcome::Done { result: (violations, _), .. } => violations,
-                UnitOutcome::Failed { error, history } => {
-                    if matches!(error, RunError::Panic(_)) {
-                        panics += 1;
-                    }
-                    vec![supervised_violation(&error, &history, false)]
-                }
-                UnitOutcome::Quarantined { error, history } => {
-                    quarantined += 1;
-                    if matches!(error, RunError::Panic(_)) {
-                        panics += 1;
-                    }
-                    vec![supervised_violation(&error, &history, true)]
-                }
-                UnitOutcome::Skipped => {
-                    skipped_plans.insert(plan.index);
-                    continue;
-                }
-            };
-            by_index.insert(plan.index, violations);
-        }
-    } else {
-        let results = try_parallel_map_with(
-            &pending,
-            threads,
-            |_, plan| plan_outcome(plan, invert, &opts.chaos_panic_plans),
-            |i, result| {
-                let payload = match result {
-                    Ok((violations, digest)) if violations.is_empty() => {
+    let cfg = opts.supervisor_config();
+    let clock = WallClock::new();
+    let report = supervised_map_with(
+        &pending,
+        opts.threads,
+        &cfg,
+        &clock,
+        |_, plan, ctx| plan_outcome(plan, invert, opts, ctx),
+        |i, outcome| {
+            let payload = match outcome {
+                UnitOutcome::Done { result: (violations, digest), .. } => {
+                    if violations.is_empty() {
                         format!("ok {digest:016x}")
+                    } else {
+                        fail_payload(violations)
                     }
-                    Ok((violations, _)) => fail_payload(violations),
-                    Err(_) => "fail panic".to_string(),
-                };
-                journal_append(pending[i].index, &payload);
-            },
-        );
-        for (plan, result) in pending.iter().zip(results) {
-            let violations = match result {
-                Ok((v, _)) => v,
-                Err(e) => {
-                    panics += 1;
-                    vec![Violation { invariant: "panic".to_string(), detail: e.message }]
                 }
+                UnitOutcome::Failed { error, .. } | UnitOutcome::Quarantined { error, .. } => {
+                    match error {
+                        RunError::Panic(_) => "fail panic".to_string(),
+                        _ => format!("fail {RUN_ERROR_VIOLATION}"),
+                    }
+                }
+                // Never journaled: a resume must re-run skipped plans.
+                UnitOutcome::Skipped => return,
             };
-            by_index.insert(plan.index, violations);
-        }
+            journal_append(pending[i].index, &payload);
+        },
+    );
+    let breaker_tripped = report.breaker_tripped;
+    for (plan, outcome) in pending.iter().zip(report.outcomes) {
+        let violations = match outcome {
+            UnitOutcome::Done { result: (violations, _), .. } => violations,
+            UnitOutcome::Failed { error, history } => {
+                if matches!(error, RunError::Panic(_)) {
+                    panics += 1;
+                }
+                vec![unit_failure_violation(&error, &history, false)]
+            }
+            UnitOutcome::Quarantined { error, history } => {
+                quarantined += 1;
+                if matches!(error, RunError::Panic(_)) {
+                    panics += 1;
+                }
+                vec![unit_failure_violation(&error, &history, true)]
+            }
+            UnitOutcome::Skipped => {
+                skipped_plans.insert(plan.index);
+                continue;
+            }
+        };
+        by_index.insert(plan.index, violations);
     }
     if let Some(e) = journal_error.into_inner().unwrap() {
         return Err(CampaignAbort::Io(e));

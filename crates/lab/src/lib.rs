@@ -20,9 +20,7 @@
 //! specrun-lab perf --baseline-from-git  # throughput benchmark + perf gate
 //! ```
 //!
-//! The legacy binaries (`fig7`, `fig9`, …, `bench_step`) are thin aliases
-//! over this crate. Adding a new experiment is a registry entry, not a new
-//! binary:
+//! Adding a new experiment is a registry entry, not a new binary:
 //!
 //! ```
 //! use specrun_lab::{registry, RunContext};

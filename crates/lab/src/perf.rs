@@ -1,5 +1,5 @@
 //! The simulator-throughput benchmark and perf-regression gate
-//! (`specrun-lab perf`, aliased by the legacy `bench_step` binary).
+//! (`specrun-lab perf`).
 //!
 //! Emits `BENCH_step.json` with cycles-simulated-per-second on fixed
 //! kernels (idle-cycle fast-forward off vs on) and the thread-scaling of a
@@ -12,11 +12,10 @@
 //!
 //! **Baseline safety:** the baseline is read *before* the new report is
 //! written, so gating against the committed `BENCH_step.json` in place
-//! (`--baseline BENCH_step.json`, or the `SPECRUN_BENCH_BASELINE` env var)
-//! can never compare a file this run just overwrote. `--baseline-from-git`
-//! goes one step further and reads the committed copy via
-//! `git show HEAD:BENCH_step.json`, so a dirty working tree cannot feed
-//! the gate either.
+//! (`--baseline BENCH_step.json`) can never compare a file this run just
+//! overwrote. `--baseline-from-git` goes one step further and reads the
+//! committed copy via `git show HEAD:BENCH_step.json`, so a dirty working
+//! tree cannot feed the gate either.
 
 use std::time::Instant;
 
@@ -83,35 +82,7 @@ impl Default for PerfOptions {
 }
 
 impl PerfOptions {
-    /// Builds options from the legacy environment variables
-    /// (`SPECRUN_BENCH_QUICK`, `SPECRUN_BENCH_BASELINE`,
-    /// `SPECRUN_BENCH_GATE_MAX_DROP`) — the `bench_step` contract.
-    pub fn from_env() -> PerfOptions {
-        let mut opts = PerfOptions::default();
-        if std::env::var("SPECRUN_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0") {
-            opts.quick = true;
-        }
-        if let Ok(path) = std::env::var("SPECRUN_BENCH_BASELINE") {
-            if !path.is_empty() {
-                opts.baseline = BaselineSource::Path(path);
-            }
-        }
-        if let Some(drop) =
-            std::env::var("SPECRUN_BENCH_GATE_MAX_DROP").ok().and_then(|v| v.parse().ok())
-        {
-            opts.max_drop = drop;
-        }
-        if let Some(repeats) = std::env::var("SPECRUN_BENCH_REPEATS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&r: &u32| r > 0)
-        {
-            opts.repeats = repeats;
-        }
-        opts
-    }
-
-    /// Applies `perf` subcommand flags on top (`--quick`,
+    /// Applies `perf` subcommand flags (`--quick`,
     /// `--baseline PATH`, `--baseline-from-git`, `--max-drop F`,
     /// `--repeats N`).
     pub fn apply_args(mut self, args: &[String]) -> Result<PerfOptions, String> {

@@ -2,8 +2,7 @@
 //!
 //! Adding a new experiment means adding one entry here — a run function
 //! that produces metrics (through the [`MetricSource`] extraction traits),
-//! config digests and paper-claim invariants — not a new binary. The
-//! legacy binaries (`fig7`, `table1`, …) are thin aliases over this table.
+//! config digests and paper-claim invariants — not a new binary.
 
 use specrun::attack::{
     run_btb_poc, run_pht_poc, run_pht_sweep, run_rsb_poc, PocConfig, PocOutcome, SweepConfig,
@@ -98,16 +97,6 @@ pub fn find(name: &str) -> Option<Scenario> {
 
 fn scenario(name: &str) -> Scenario {
     find(name).expect("registry names its own scenarios")
-}
-
-/// Resolves `ctx.threads` for a `parallel_map` fan-out (`0` = all host
-/// cores); `parallel_map` itself clamps to the job count.
-fn worker_threads(ctx: &RunContext) -> usize {
-    if ctx.threads == 0 {
-        specrun_workloads::harness::default_threads()
-    } else {
-        ctx.threads
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -424,7 +413,7 @@ fn run_fig11(ctx: &RunContext) -> ScenarioRun {
     run.digest("runahead", &CpuConfig::default());
 
     let policies = [Policy::NoRunahead, Policy::Runahead];
-    let outcomes = parallel_map(&policies, worker_threads(ctx), |_, &policy| {
+    let outcomes = parallel_map(&policies, ctx.threads, |_, &policy| {
         let mut session = Session::builder().policy(policy).build();
         run_pht_poc(&mut session, &PocConfig::fig11(FIG11_SLIDE))
     });
@@ -483,7 +472,7 @@ fn run_variants(ctx: &RunContext) -> ScenarioRun {
         cfg.runahead.policy = policy;
         run.digest(format!("{policy:?}"), &cfg);
     }
-    let outcomes = parallel_map(&jobs, worker_threads(ctx), |_, job| match job {
+    let outcomes = parallel_map(&jobs, ctx.threads, |_, job| match job {
         Job::Policy(policy) => {
             let mut session = Session::builder().policy(Policy::Variant(*policy)).build();
             run_pht_poc(&mut session, &PocConfig::fig11(FIG11_SLIDE))
@@ -561,7 +550,7 @@ fn run_defense(ctx: &RunContext) -> ScenarioRun {
         ("secure_sl_cache", Policy::Secure),
         ("skip_inv_branch", Policy::SkipInv),
     ];
-    let reports = parallel_map(&machines, worker_threads(ctx), |_, (_, policy)| {
+    let reports = parallel_map(&machines, ctx.threads, |_, (_, policy)| {
         let mut session = Session::builder().policy(*policy).build();
         verify_pht_blocked(&mut session, &PocConfig::fig11(FIG11_SLIDE))
     });
@@ -609,7 +598,7 @@ fn run_defense(ctx: &RunContext) -> ScenarioRun {
     }
     let jobs: Vec<(usize, usize)> =
         (0..suite.len()).flat_map(|w| (0..configs.len()).map(move |c| (w, c))).collect();
-    let results = parallel_map(&jobs, worker_threads(ctx), |_, &(w, c)| {
+    let results = parallel_map(&jobs, ctx.threads, |_, &(w, c)| {
         run_workload(&suite[w], configs[c].clone(), 50_000_000)
     });
     let compared = |w: usize, c: usize| IpcComparison {
@@ -690,7 +679,7 @@ fn run_leak_trace(ctx: &RunContext) -> ScenarioRun {
     run.digest("secure", &CpuConfig::secure_runahead());
 
     let jobs = [("runahead", Policy::Runahead), ("secure_sl_cache", Policy::Secure)];
-    let results = parallel_map(&jobs, worker_threads(ctx), |_, (_, policy)| {
+    let results = parallel_map(&jobs, ctx.threads, |_, (_, policy)| {
         let tracer = leak_trace_for(&cfg.layout, &CpuConfig::default());
         let mut session = Session::builder()
             .policy(*policy)
@@ -813,7 +802,7 @@ fn run_trace_repro(ctx: &RunContext) -> ScenarioRun {
     run.digest("secure", &CpuConfig::secure_runahead());
 
     let jobs = [("runahead", Policy::Runahead), ("secure_sl_cache", Policy::Secure)];
-    let results = parallel_map(&jobs, worker_threads(ctx), |_, (_, policy)| {
+    let results = parallel_map(&jobs, ctx.threads, |_, (_, policy)| {
         let tracer = leak_trace_for(&cfg.layout, &CpuConfig::default());
         let mut session = Session::builder()
             .policy(*policy)
@@ -1003,7 +992,7 @@ fn run_pool_matrix(ctx: &RunContext) -> ScenarioRun {
         run.digest(shard.label(), &specrun::pool::shard_config(&spec, shard));
     }
 
-    let report = specrun::run_campaign(&spec, worker_threads(ctx));
+    let report = specrun::run_campaign(&spec, ctx.threads);
     run.metrics = report.metrics();
 
     run.line("shard,units,leaks,leak_rate,runahead_entries,inv_branches,status".to_string());

@@ -6,13 +6,14 @@
 //! function that — given a [`RunContext`] — produces a [`ScenarioRun`]:
 //! named metrics (via the [`MetricSource`] extraction traits), the
 //! configuration digests and seeds that make the run auditable, the
-//! human-readable table the legacy binary used to print, and a list of
+//! human-readable table `specrun-lab run` prints, and a list of
 //! **paper-claim invariants** ("secure runahead leakage = 0", "runahead
 //! speedup > 1 on mcf") whose pass/fail the CI reproduction gate enforces.
 
 use specrun_cpu::CpuConfig;
 use specrun_mem::fnv1a;
 use specrun_workloads::metrics::MetricSet;
+use specrun_workloads::supervisor::panic_message;
 
 pub use specrun_workloads::metrics::MetricSource;
 
@@ -33,7 +34,7 @@ pub struct RunContext {
 }
 
 impl RunContext {
-    /// Full-fidelity context (the legacy binaries' scale).
+    /// Full-fidelity context (the paper's scale).
     pub fn full() -> RunContext {
         RunContext { quick: false, threads: 0, seed: DEFAULT_SEED }
     }
@@ -103,7 +104,7 @@ pub struct ScenarioRun {
     pub config_digests: Vec<(String, u64)>,
     /// Checked paper claims.
     pub invariants: Vec<Invariant>,
-    /// The human-readable report (what the legacy binary printed).
+    /// The human-readable report (what `specrun-lab run` prints).
     pub lines: Vec<String>,
     /// Structured execution failure, when the scenario did not complete:
     /// the panic (or budget-exhaustion) message captured by
@@ -219,7 +220,7 @@ impl ScenarioRun {
 /// One registered experiment.
 #[derive(Clone)]
 pub struct Scenario {
-    /// Registry name and legacy binary name (`fig7`, `defense`, …).
+    /// Registry name (`fig7`, `defense`, …).
     pub name: &'static str,
     /// Human-readable title.
     pub title: &'static str,
@@ -245,13 +246,8 @@ impl Scenario {
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (self.run)(ctx))) {
             Ok(run) => run,
             Err(payload) => {
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
                 let mut run = ScenarioRun::new(self, ctx);
-                run.error = Some(message);
+                run.error = Some(panic_message(payload));
                 run
             }
         }

@@ -6,6 +6,7 @@ use std::path::PathBuf;
 
 use specrun_lab::fuzz::{self, FuzzOptions};
 use specrun_lab::FsSink;
+use specrun_mem::fnv1a;
 
 fn quick_opts(plans: u64, threads: usize) -> FuzzOptions {
     FuzzOptions { plans, seed: 0xC0FFEE, threads, quick: true, ..FuzzOptions::default() }
@@ -91,4 +92,28 @@ fn replay_reproduces_a_recorded_failure() {
     assert!(!decoded.torn_tail, "a completed replay never leaves a torn tail");
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn panicking_plan_renders_the_pinned_violation_at_any_thread_count() {
+    // Golden digests of a campaign whose plan 1 panics: the report and the
+    // fail file must keep the exact bytes the panic path has always
+    // written (violation name, payload rendering, shrunk reproducer).
+    const REPORT_FNV: u64 = 0x301f_506d_f212_287d;
+    const FAIL_FILE_FNV: u64 = 0x9837_6db6_85f5_e1da;
+    for threads in [1, 2] {
+        let opts = FuzzOptions { chaos_panic_plans: vec![1], ..quick_opts(3, threads) };
+        let result = fuzz::campaign(&opts);
+        assert_eq!(result.panics, 1, "at {threads} threads");
+        assert_eq!(result.failures.len(), 1, "at {threads} threads");
+        let case = &result.failures[0];
+        assert_eq!((case.plan_index, case.file_name.as_str()), (1, "fail_1.json"));
+        assert_eq!(case.violated, vec!["panic".to_string()]);
+        assert_eq!(fnv1a(result.report.as_bytes()), REPORT_FNV, "report at {threads} threads");
+        assert_eq!(
+            fnv1a(case.file_body.as_bytes()),
+            FAIL_FILE_FNV,
+            "fail file at {threads} threads"
+        );
+    }
 }

@@ -14,9 +14,10 @@
 //!   into a flat list of [`TrialSpec`]s, each with a deterministic per-trial
 //!   RNG seed;
 //! * [`parallel_map`] / [`try_parallel_map`] — fan a closure out over a
-//!   slice on a scoped thread pool (work-stealing via an atomic cursor),
-//!   preserving input order; the `try` form captures per-trial panics as
-//!   [`TrialError`]s so one degenerate config cannot kill a campaign;
+//!   slice, preserving input order; the `try` form captures per-trial
+//!   panics as [`TrialError`]s so one degenerate config cannot kill a
+//!   campaign. Both are adapters over the one work-stealing pool,
+//!   [`supervised_map_with`], under passive supervision;
 //! * [`Summary`] — aggregates per-trial metrics (n/mean/min/max).
 //!
 //! ```
@@ -27,12 +28,11 @@
 //! assert_eq!(s.max, 16.0);
 //! ```
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use specrun_cpu::{CpuConfig, RunaheadPolicy, SecureConfig};
 
+use crate::clock::WallClock;
 use crate::rng::SplitMix64;
+use crate::supervisor::{supervised_map_with, SupervisorConfig, UnitOutcome};
 
 /// Ceiling on worker-thread counts: above this, extra threads only add
 /// scheduler churn and per-thread stacks — a campaign is bounded by cores,
@@ -169,93 +169,47 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
-}
-
-/// Panic-safe [`parallel_map`]: runs `f` over `items` on up to `threads`
-/// scoped worker threads and returns per-trial results in input order,
-/// with each panicking trial captured as a [`TrialError`] instead of
-/// unwinding through the pool. Every trial runs to completion regardless
-/// of how many others panic.
+/// Runs `f` over `items` on up to `threads` worker threads (`0` = all
+/// host cores) and returns per-trial results in input order, with each
+/// panicking trial captured as a [`TrialError`] instead of unwinding
+/// through the pool. Every trial runs to completion regardless of how many
+/// others panic.
+///
+/// This is [`supervised_map_with`] under a passive [`SupervisorConfig`]:
+/// no deadlines, retries or breaker, so a unit either completes or
+/// captures its panic.
 pub fn try_parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<Result<R, TrialError>>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    try_parallel_map_with(items, threads, f, |_, _| {})
+    let passive = SupervisorConfig::default();
+    let report = supervised_map_with(
+        items,
+        threads,
+        &passive,
+        &WallClock::new(),
+        |i, item, _| Ok(f(i, item)),
+        |_, _| {},
+    );
+    report
+        .outcomes
+        .into_iter()
+        .map(|outcome| match outcome {
+            UnitOutcome::Done { result, .. } => Ok(result),
+            UnitOutcome::Failed { error: RunError::Panic(e), .. } => Err(e),
+            _ => unreachable!("passive supervision only completes or captures a panic"),
+        })
+        .collect()
 }
 
-/// [`try_parallel_map`] with a completion hook: `on_done(i, &result)` runs
-/// on the worker thread immediately after trial `i` finishes, in whatever
-/// order trials complete. Campaign journals hang off this hook — each
-/// completed trial is durably recorded the moment it exists, so a killed
-/// campaign loses at most the in-flight trials. The hook must be cheap and
-/// must not panic; results are still returned in input order.
-pub fn try_parallel_map_with<T, R, F, D>(
-    items: &[T],
-    threads: usize,
-    f: F,
-    on_done: D,
-) -> Vec<Result<R, TrialError>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-    D: Fn(usize, &Result<R, TrialError>) + Sync,
-{
-    let run_one = |i: usize, item: &T| {
-        let result = catch_unwind(AssertUnwindSafe(|| f(i, item)))
-            .map_err(|payload| TrialError { index: i, message: panic_message(payload) });
-        on_done(i, &result);
-        result
-    };
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, n);
-    if threads == 1 {
-        return items.iter().enumerate().map(|(i, item)| run_one(i, item)).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let per_worker: Vec<Vec<(usize, Result<R, TrialError>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, run_one(i, &items[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker loop itself cannot panic")).collect()
-    });
-    let mut out: Vec<Option<Result<R, TrialError>>> = (0..n).map(|_| None).collect();
-    for (i, r) in per_worker.into_iter().flatten() {
-        out[i] = Some(r);
-    }
-    out.into_iter().map(|r| r.expect("every index produced")).collect()
-}
-
-/// Runs `f` over `items` on up to `threads` scoped worker threads and
-/// returns the results in input order.
+/// Runs `f` over `items` on up to `threads` worker threads (`0` = all
+/// host cores) and returns the results in input order.
 ///
 /// Work is distributed dynamically (an atomic cursor), so uneven trial
 /// durations — a no-runahead machine simulates far more slowly than a
-/// fast-forwarding one — still load all cores. With `threads <= 1` the map
-/// runs inline, which keeps call sites free of special cases.
+/// fast-forwarding one — still load all cores.
 ///
 /// # Panics
 ///
@@ -459,8 +413,9 @@ mod tests {
     fn parallel_map_handles_edge_sizes() {
         assert!(parallel_map::<u64, u64, _>(&[], 4, |_, &x| x).is_empty());
         assert_eq!(parallel_map(&[7u64], 16, |_, &x| x + 1), vec![8]);
-        // More threads than items, single-threaded fallback.
+        // More threads than items, a single thread, and `0` = all host cores.
         assert_eq!(parallel_map(&[1u64, 2], 1, |_, &x| x), vec![1, 2]);
+        assert_eq!(parallel_map(&[1u64, 2, 3], 0, |_, &x| x * 10), vec![10, 20, 30]);
     }
 
     #[test]
@@ -530,30 +485,6 @@ mod tests {
                 message.starts_with("trial 10 panicked"),
                 "lowest index wins at {threads} threads: {message}"
             );
-        }
-    }
-
-    #[test]
-    fn try_parallel_map_with_reports_every_completion() {
-        use std::sync::Mutex;
-        let items: Vec<u64> = (0..20).collect();
-        for threads in [1, 4] {
-            let seen = Mutex::new(Vec::new());
-            let results = try_parallel_map_with(
-                &items,
-                threads,
-                |_, &x| {
-                    assert!(x != 7, "trial {x} exploded");
-                    x * 3
-                },
-                |i, r| seen.lock().unwrap().push((i, r.is_ok())),
-            );
-            let mut seen = seen.into_inner().unwrap();
-            seen.sort_unstable();
-            let expected: Vec<(usize, bool)> = (0..20).map(|i| (i, i != 7)).collect();
-            assert_eq!(seen, expected, "the hook fires exactly once per trial");
-            assert_eq!(results[3], Ok(9));
-            assert!(results[7].is_err());
         }
     }
 

@@ -197,7 +197,6 @@ pub fn compare_matrix_parallel(
     max_cycles: u64,
     threads: usize,
 ) -> Vec<IpcComparison> {
-    let threads = if threads == 0 { crate::harness::default_threads() } else { threads };
     // Flatten to one job per (workload, machine) so uneven kernels still
     // fill every worker.
     let jobs: Vec<(usize, CpuConfig)> = workloads

@@ -30,8 +30,8 @@ pub mod supervisor;
 pub use clock::{ChaosClock, Clock, WallClock};
 pub use fuzz::shrink_plan;
 pub use harness::{
-    parallel_map, try_parallel_map, try_parallel_map_with, ConfigMatrix, RunError, Summary,
-    TrialError, TrialSpec, MAX_THREADS,
+    parallel_map, try_parallel_map, ConfigMatrix, RunError, Summary, TrialError, TrialSpec,
+    MAX_THREADS,
 };
 pub use ipc::{
     compare, compare_with, geomean_speedup, run_workload_observed, try_run_workload,

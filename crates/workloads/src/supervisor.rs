@@ -1,18 +1,22 @@
-//! The campaign supervisor: wall-clock deadlines, stall detection,
-//! retry-with-quarantine and a failure-rate circuit breaker over the
-//! parallel trial harness.
+//! The campaign executor: the one work-stealing pool every fan-out runs
+//! on, plus wall-clock deadlines, stall detection, retry-with-quarantine
+//! and a failure-rate circuit breaker.
 //!
-//! [`try_parallel_map_with`](crate::harness::try_parallel_map_with)
-//! isolates panics and preserves order, but it supervises nothing about
-//! *time*: cycle budgets catch simulated-cycle runaway, while a
-//! wall-clock-slow configuration or a wedged worker thread stalls the
-//! whole campaign. [`supervised_map_with`] layers a monitor thread on the
-//! same work-stealing pool:
+//! [`supervised_map_with`] runs units on scoped worker threads that pull
+//! indices from an atomic cursor, isolates panics, fires a completion hook
+//! per unit and returns outcomes in input order. Under the passive
+//! [`SupervisorConfig::default`] that is the plain parallel map —
+//! [`parallel_map`](crate::harness::parallel_map) and
+//! [`try_parallel_map`](crate::harness::try_parallel_map) are adapters over
+//! it. Cycle budgets catch simulated-cycle runaway; supervision adds what
+//! they cannot see, a wall-clock-slow configuration or a wedged worker
+//! thread:
 //!
 //! * every unit runs with a fresh [`CancelToken`] registered in a
 //!   per-worker slot; the token's checkpoints (polled inside
 //!   `Core::run_governed`) double as heartbeats;
-//! * the monitor compares each active unit's age and heartbeat freshness
+//! * a monitor thread (spawned only when a deadline or stall window is
+//!   set) compares each active unit's age and heartbeat freshness
 //!   against the configured deadline and stall windows, and trips the
 //!   token with the matching [`CancelReason`] — the worker reclassifies
 //!   the resulting [`RunError::Cancelled`] into
@@ -58,7 +62,7 @@ use std::sync::Mutex;
 pub use specrun_cpu::cancel::{CancelReason, CancelToken};
 
 use crate::clock::Clock;
-use crate::harness::{RunError, TrialError};
+use crate::harness::{default_threads, RunError, TrialError};
 use crate::rng::SplitMix64;
 
 /// Supervision policy for one campaign. The default is fully passive
@@ -96,14 +100,6 @@ impl Default for SupervisorConfig {
             max_failure_rate: 1.0,
             breaker_min_units: 4,
         }
-    }
-}
-
-impl SupervisorConfig {
-    /// Whether any supervision feature is switched on. A passive config
-    /// lets callers keep the plain (monitor-free) harness path.
-    pub fn is_active(&self) -> bool {
-        self.deadline_ms > 0 || self.stall_ms > 0 || self.retries > 0 || self.max_failure_rate < 1.0
     }
 }
 
@@ -271,7 +267,9 @@ fn reclassify(error: RunError, token: &CancelToken, cfg: &SupervisorConfig) -> R
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Renders a caught panic payload: the `&str` or `String` it carries, or a
+/// placeholder for any other payload type.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_string())
@@ -326,11 +324,10 @@ where
     }
 }
 
-/// The supervised parallel map. Like
-/// [`try_parallel_map_with`](crate::harness::try_parallel_map_with) —
-/// work-stealing pool, input-order results, per-unit completion hook fired
-/// from the worker thread — but each unit runs under the supervision
-/// policy in `cfg` (see the module docs). `on_done` fires exactly once per
+/// The parallel map: runs `f` over `items` on up to `threads` worker
+/// threads (`0` = [`default_threads`]), each unit under the supervision
+/// policy in `cfg` (see the module docs), and returns the outcomes in
+/// input order. `on_done` fires from the worker thread exactly once per
 /// unit with its **final** outcome, after all retries resolve: journals
 /// hanging off the hook record final attempts only.
 pub fn supervised_map_with<T, R, F, D>(
@@ -351,7 +348,7 @@ where
     if n == 0 {
         return SupervisedReport { outcomes: Vec::new(), breaker_tripped: false };
     }
-    let threads = threads.clamp(1, n);
+    let threads = if threads == 0 { default_threads() } else { threads }.min(n);
     let shared = Shared {
         cfg,
         clock,
@@ -423,15 +420,6 @@ mod tests {
     }
 
     #[test]
-    fn passive_config_is_inactive_and_features_activate_it() {
-        assert!(!passive().is_active());
-        assert!(SupervisorConfig { deadline_ms: 1, ..passive() }.is_active());
-        assert!(SupervisorConfig { stall_ms: 1, ..passive() }.is_active());
-        assert!(SupervisorConfig { retries: 1, ..passive() }.is_active());
-        assert!(SupervisorConfig { max_failure_rate: 0.5, ..passive() }.is_active());
-    }
-
-    #[test]
     fn backoff_is_pure_zero_first_and_input_sensitive() {
         assert_eq!(backoff_ms(1, 2, 0), 0, "the first attempt never waits");
         for (seed, unit, attempt) in [(0u64, 0u64, 1u32), (7, 3, 2), (0xC0FFEE, 199, 5)] {
@@ -461,6 +449,50 @@ mod tests {
                 UnitOutcome::Done { result, attempts: 1 } => assert_eq!(*result, i as u64 * 2),
                 other => panic!("unit {i}: {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn completion_hook_reports_every_final_outcome() {
+        // Renders an outcome as `Ok(result)` or `Err(panic message)`; any
+        // other outcome is impossible under a passive config.
+        fn render(i: usize, outcome: &UnitOutcome<u64>) -> Result<u64, String> {
+            match outcome {
+                UnitOutcome::Done { result, attempts: 1 } => Ok(*result),
+                UnitOutcome::Failed { error: RunError::Panic(e), history }
+                    if e.index == i && history.len() == 1 =>
+                {
+                    Err(e.message.clone())
+                }
+                other => panic!("unit {i}: unexpected outcome {other:?}"),
+            }
+        }
+        let items: Vec<u64> = (0..20).collect();
+        let expected: Vec<(usize, Result<u64, String>)> = items
+            .iter()
+            .map(|&x| {
+                (x as usize, if x % 7 == 3 { Err(format!("unit {x} exploded")) } else { Ok(x * 3) })
+            })
+            .collect();
+        for threads in [1, 4] {
+            let seen = Mutex::new(Vec::new());
+            let report = supervised_map_with(
+                &items,
+                threads,
+                &passive(),
+                &WallClock::new(),
+                |_, &x, _| -> Result<u64, RunError> {
+                    assert!(x % 7 != 3, "unit {x} exploded");
+                    Ok(x * 3)
+                },
+                |i, outcome| seen.lock().unwrap().push((i, render(i, outcome))),
+            );
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort_unstable();
+            assert_eq!(seen, expected, "the hook fires exactly once per unit at {threads} threads");
+            let reported: Vec<_> =
+                report.outcomes.iter().enumerate().map(|(i, o)| (i, render(i, o))).collect();
+            assert_eq!(reported, expected, "the hook saw each unit's final outcome");
         }
     }
 
