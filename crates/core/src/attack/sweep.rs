@@ -8,7 +8,8 @@
 //! [`specrun_workloads::harness`].
 
 use specrun_cpu::CpuConfig;
-use specrun_workloads::harness::{self, parallel_map, TrialSpec};
+use specrun_workloads::harness::{self, parallel_map, trial_seeds};
+use specrun_workloads::rng::SplitMix64;
 
 use crate::attack::poc::{run_pht_poc, PocConfig, PocOutcome};
 use crate::session::Session;
@@ -83,14 +84,12 @@ impl SweepReport {
 /// parallel, each with a per-trial random secret, and aggregates the
 /// results. Deterministic for a fixed seed regardless of thread count.
 pub fn run_pht_sweep(cfg: &SweepConfig) -> SweepReport {
-    let specs: Vec<TrialSpec> =
-        harness::ConfigMatrix::new(cfg.machine.clone()).trials(cfg.trials).seed(cfg.seed).build();
-    let trials = parallel_map(&specs, cfg.threads, |i, spec| {
-        let mut rng = spec.rng();
+    let trials = parallel_map(&trial_seeds(cfg.seed, cfg.trials), cfg.threads, |i, &seed| {
+        let mut rng = SplitMix64::new(seed);
         // Avoid 0: probe entry 0 is warmed by training and excluded by the
         // analyzer, so a 0 secret could never be recovered.
         let secret = (rng.next_below(255) + 1) as u8;
-        let mut session = Session::builder().config(spec.config.clone()).build();
+        let mut session = Session::builder().config(cfg.machine.clone()).build();
         let poc = PocConfig { secret, ..cfg.poc.clone() };
         let outcome = run_pht_poc(&mut session, &poc);
         SweepTrial { id: i, secret, outcome }

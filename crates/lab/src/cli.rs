@@ -17,7 +17,7 @@ use std::path::PathBuf;
 
 use crate::chaos::{self, ChaosOptions};
 use crate::fuzz::{self, FuzzOptions};
-use crate::journal::{self, Journal};
+use crate::journal::Journal;
 use crate::json;
 use crate::perf::{self, PerfOptions};
 use crate::registry::{find, registry};
@@ -143,78 +143,36 @@ COMMANDS:
 /// Entry point for the `specrun-lab` binary. Returns the exit code.
 pub fn main() -> i32 {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    let rest = args.get(1..).unwrap_or_default();
+    let result = match args.first().map(String::as_str) {
         Some("list") => {
             list();
-            0
+            Ok(0)
         }
-        Some("run") => match run_command(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                eprintln!();
-                eprint!("{USAGE}");
-                2
-            }
-        },
-        Some("perf") => match PerfOptions::default().apply_args(&args[1..]) {
-            Ok(opts) => perf::run(&opts),
-            Err(e) => {
-                eprintln!("error: {e}");
-                2
-            }
-        },
-        Some("pool") => match pool_command(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                eprintln!();
-                eprint!("{USAGE}");
-                2
-            }
-        },
-        Some("fuzz") => match parse_fuzz_args(&args[1..]) {
-            Ok(FuzzCommand::ListInvariants) => {
+        Some("run") => run_command(rest),
+        Some("perf") => PerfOptions::default().apply_args(rest).map(|opts| perf::run(&opts)),
+        Some("pool") => pool_command(rest),
+        Some("fuzz") => parse_fuzz_args(rest).map(|cmd| match cmd {
+            FuzzCommand::ListInvariants => {
                 list_invariants();
                 0
             }
-            Ok(FuzzCommand::Run(opts)) => fuzz::run(&opts),
-            Err(e) => {
-                eprintln!("error: {e}");
-                eprintln!();
-                eprint!("{USAGE}");
-                2
-            }
-        },
-        Some("trace") => match crate::trace::trace_command(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                eprintln!();
-                eprint!("{USAGE}");
-                2
-            }
-        },
-        Some("chaos") => match parse_chaos_args(&args[1..]) {
-            Ok(opts) => chaos::run(&opts),
-            Err(e) => {
-                eprintln!("error: {e}");
-                eprintln!();
-                eprint!("{USAGE}");
-                2
-            }
-        },
+            FuzzCommand::Run(opts) => fuzz::run(&opts),
+        }),
+        Some("trace") => crate::trace::trace_command(rest),
+        Some("chaos") => parse_chaos_args(rest).map(|opts| chaos::run(&opts)),
         Some("--help" | "-h" | "help") | None => {
             print!("{USAGE}");
-            i32::from(args.is_empty())
+            Ok(i32::from(args.is_empty()))
         }
-        Some(other) => {
-            eprintln!("error: unknown command {other}");
-            eprintln!();
-            eprint!("{USAGE}");
-            2
-        }
-    }
+        Some(other) => Err(format!("unknown command {other}")),
+    };
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        eprintln!();
+        eprint!("{USAGE}");
+        2
+    })
 }
 
 fn list() {
@@ -231,13 +189,66 @@ fn list_invariants() {
     }
 }
 
+/// A cursor over one subcommand's arguments. Each parser is a `match`
+/// with one line per flag: the flag's value comes from [`Args::value`]
+/// (typed checks live in the value parsers below), and anything the
+/// parser does not know becomes [`Args::unknown`].
+pub(crate) struct Args<'a> {
+    cmd: &'static str,
+    rest: std::slice::Iter<'a, String>,
+}
+
+impl<'a> Args<'a> {
+    /// A cursor over `args`, naming `cmd` (`"fuzz"`, `"pool run"`, …) in
+    /// its errors.
+    pub(crate) fn new(cmd: &'static str, args: &'a [String]) -> Args<'a> {
+        Args { cmd, rest: args.iter() }
+    }
+
+    /// Reads `flag`'s argument through `parse`.
+    pub(crate) fn value<T>(
+        &mut self,
+        flag: &str,
+        parse: impl FnOnce(&str) -> Result<T, String>,
+    ) -> Result<T, String> {
+        parse(self.rest.next().ok_or_else(|| format!("{flag} needs a value"))?)
+    }
+
+    /// Reads `flag`'s argument as a path.
+    pub(crate) fn path(&mut self, flag: &str) -> Result<PathBuf, String> {
+        self.value(flag, |v| Ok(PathBuf::from(v)))
+    }
+
+    /// The usage error for an argument the parser does not accept.
+    pub(crate) fn unknown(&self, arg: &str) -> String {
+        if arg.starts_with('-') {
+            format!("unknown {} option {arg}", self.cmd)
+        } else {
+            format!("unexpected {} argument {arg}", self.cmd)
+        }
+    }
+}
+
+impl<'a> Iterator for Args<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.rest.next().map(String::as_str)
+    }
+}
+
 /// Parses a u64 that may be written in hex (`0xC0FFEE`) or decimal.
-fn parse_u64(v: &str) -> Result<u64, String> {
+pub(crate) fn parse_u64(v: &str) -> Result<u64, String> {
     let parsed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
         Some(hex) => u64::from_str_radix(hex, 16),
         None => v.parse(),
     };
     parsed.map_err(|_| format!("invalid number {v}"))
+}
+
+/// Parses a decimal u32 count (retries, repeats).
+pub(crate) fn parse_u32(v: &str) -> Result<u32, String> {
+    v.parse().map_err(|_| format!("invalid count {v}"))
 }
 
 /// Parses an explicit worker thread count. `0` is rejected — "auto" is
@@ -258,8 +269,8 @@ fn parse_threads(v: &str) -> Result<usize, String> {
     Ok(n)
 }
 
-/// Parses a failure-rate threshold in `[0, 1]`.
-fn parse_rate(v: &str) -> Result<f64, String> {
+/// Parses a rate or fraction in `[0, 1]` (NaN is rejected).
+pub(crate) fn parse_rate(v: &str) -> Result<f64, String> {
     let rate: f64 = v.parse().map_err(|_| format!("invalid rate {v}"))?;
     if !(0.0..=1.0).contains(&rate) {
         return Err(format!("rate {v} is not in [0, 1]"));
@@ -272,6 +283,20 @@ fn parse_index_list(v: &str) -> Result<Vec<u64>, String> {
     v.split(',').map(|s| parse_u64(s.trim())).collect()
 }
 
+fn parse_invariant(v: &str) -> Result<String, String> {
+    match fuzz::find_invariant(v) {
+        Some(inv) => Ok(inv.name.to_string()),
+        None => Err(format!("unknown invariant {v} (see `specrun-lab fuzz --list-invariants`)")),
+    }
+}
+
+fn parse_drill(v: &str) -> Result<String, String> {
+    if !chaos::DRILL_NAMES.contains(&v) {
+        return Err(format!("unknown drill {v} (available: {})", chaos::DRILL_NAMES.join(", ")));
+    }
+    Ok(v.to_string())
+}
+
 #[derive(Debug)]
 enum FuzzCommand {
     ListInvariants,
@@ -280,74 +305,32 @@ enum FuzzCommand {
 
 fn parse_fuzz_args(args: &[String]) -> Result<FuzzCommand, String> {
     let mut opts = FuzzOptions::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    let mut args = Args::new("fuzz", args);
+    while let Some(arg) = args.next() {
+        match arg {
             "--list-invariants" => return Ok(FuzzCommand::ListInvariants),
-            "--plans" => {
-                let v = it.next().ok_or("--plans needs a count")?;
-                opts.plans = parse_u64(v)?;
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                opts.seed = parse_u64(v)?;
-            }
-            "--shard-threads" => {
-                let v = it.next().ok_or("--shard-threads needs a count")?;
-                opts.threads = parse_threads(v)?;
-            }
+            "--plans" => opts.plans = args.value(arg, parse_u64)?,
+            "--seed" => opts.seed = args.value(arg, parse_u64)?,
+            "--shard-threads" => opts.threads = args.value(arg, parse_threads)?,
             "--quick" => opts.quick = true,
-            "--fail-dir" => {
-                let v = it.next().ok_or("--fail-dir needs a path")?;
-                opts.fail_dir = PathBuf::from(v);
-            }
-            "--report" => {
-                let v = it.next().ok_or("--report needs a path")?;
-                opts.report_path = PathBuf::from(v);
-            }
-            "--invert-invariant" => {
-                let v = it.next().ok_or("--invert-invariant needs a name")?;
-                if crate::fuzz::find_invariant(v).is_none() {
-                    return Err(format!(
-                        "unknown invariant {v} (see `specrun-lab fuzz --list-invariants`)"
-                    ));
-                }
-                opts.invert = Some(v.to_string());
-            }
-            "--replay" => {
-                let v = it.next().ok_or("--replay needs a file")?;
-                opts.replay = Some(PathBuf::from(v));
-            }
-            "--trace" => {
-                let v = it.next().ok_or("--trace needs a path")?;
-                opts.trace = Some(PathBuf::from(v));
-            }
+            "--fail-dir" => opts.fail_dir = args.path(arg)?,
+            "--report" => opts.report_path = args.path(arg)?,
+            "--invert-invariant" => opts.invert = Some(args.value(arg, parse_invariant)?),
+            "--replay" => opts.replay = Some(args.path(arg)?),
+            "--trace" => opts.trace = Some(args.path(arg)?),
             "--resume" => opts.resume = true,
-            "--journal" => {
-                let v = it.next().ok_or("--journal needs a path")?;
-                opts.journal = Some(PathBuf::from(v));
-            }
+            "--journal" => opts.journal = Some(args.path(arg)?),
             "--deadline-ms" => {
-                let v = it.next().ok_or("--deadline-ms needs a count")?;
-                opts.deadline_ms = parse_u64(v)?;
+                opts.deadline_ms = args.value(arg, parse_u64)?;
                 // A deadline implies stall detection: a unit producing no
                 // heartbeat for the whole deadline window is stalled, not
                 // merely slow.
                 opts.stall_ms = opts.deadline_ms;
             }
-            "--retries" => {
-                let v = it.next().ok_or("--retries needs a count")?;
-                opts.retries = v.parse().map_err(|_| format!("invalid retry count {v}"))?;
-            }
-            "--max-failure-rate" => {
-                let v = it.next().ok_or("--max-failure-rate needs a rate")?;
-                opts.max_failure_rate = parse_rate(v)?;
-            }
-            "--chaos-flaky-plans" => {
-                let v = it.next().ok_or("--chaos-flaky-plans needs plan indices")?;
-                opts.chaos_flaky_plans = parse_index_list(v)?;
-            }
-            other => return Err(format!("unknown fuzz option {other}")),
+            "--retries" => opts.retries = args.value(arg, parse_u32)?,
+            "--max-failure-rate" => opts.max_failure_rate = args.value(arg, parse_rate)?,
+            "--chaos-flaky-plans" => opts.chaos_flaky_plans = args.value(arg, parse_index_list)?,
+            other => return Err(args.unknown(other)),
         }
     }
     if opts.trace.is_some() && opts.replay.is_none() {
@@ -358,29 +341,14 @@ fn parse_fuzz_args(args: &[String]) -> Result<FuzzCommand, String> {
 
 fn parse_chaos_args(args: &[String]) -> Result<ChaosOptions, String> {
     let mut opts = ChaosOptions::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    let mut args = Args::new("chaos", args);
+    while let Some(arg) = args.next() {
+        match arg {
             "--quick" => opts.quick = true,
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                opts.seed = parse_u64(v)?;
-            }
-            "--dir" => {
-                let v = it.next().ok_or("--dir needs a path")?;
-                opts.dir = Some(PathBuf::from(v));
-            }
-            "--drill" => {
-                let v = it.next().ok_or("--drill needs a drill name")?;
-                if !chaos::DRILL_NAMES.contains(&v.as_str()) {
-                    return Err(format!(
-                        "unknown drill {v} (available: {})",
-                        chaos::DRILL_NAMES.join(", ")
-                    ));
-                }
-                opts.drills.push(v.to_string());
-            }
-            other => return Err(format!("unknown chaos option {other}")),
+            "--seed" => opts.seed = args.value(arg, parse_u64)?,
+            "--dir" => opts.dir = Some(args.path(arg)?),
+            "--drill" => opts.drills.push(args.value(arg, parse_drill)?),
+            other => return Err(args.unknown(other)),
         }
     }
     Ok(opts)
@@ -403,31 +371,28 @@ enum PoolCommand {
 }
 
 fn parse_pool_args(args: &[String]) -> Result<PoolCommand, String> {
-    let mut it = args.iter();
-    match it.next().map(String::as_str) {
-        Some("spec") => match it.next() {
-            None => Ok(PoolCommand::Spec),
-            Some(extra) => Err(format!("unexpected pool spec argument {extra}")),
-        },
+    let rest = args.get(1..).unwrap_or_default();
+    match args.first().map(String::as_str) {
+        Some("spec") => {
+            let mut args = Args::new("pool spec", rest);
+            match args.next() {
+                None => Ok(PoolCommand::Spec),
+                Some(extra) => Err(args.unknown(extra)),
+            }
+        }
         Some("run") => {
             let mut spec_path = None;
             let mut threads = 0usize;
             let mut out = PathBuf::from(crate::pool::POOL_REPORT_NAME);
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--threads" => {
-                        let v = it.next().ok_or("--threads needs a count")?;
-                        threads = parse_threads(v)?;
+            let mut args = Args::new("pool run", rest);
+            while let Some(arg) = args.next() {
+                match arg {
+                    "--threads" => threads = args.value(arg, parse_threads)?,
+                    "--out" => out = args.path(arg)?,
+                    path if !path.starts_with('-') && spec_path.is_none() => {
+                        spec_path = Some(PathBuf::from(path));
                     }
-                    "--out" => {
-                        let v = it.next().ok_or("--out needs a path")?;
-                        out = PathBuf::from(v);
-                    }
-                    flag if flag.starts_with('-') => {
-                        return Err(format!("unknown pool run option {flag}"));
-                    }
-                    path if spec_path.is_none() => spec_path = Some(PathBuf::from(path)),
-                    extra => return Err(format!("unexpected pool run argument {extra}")),
+                    other => return Err(args.unknown(other)),
                 }
             }
             let spec_path = spec_path
@@ -504,35 +469,20 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
     let mut resume = false;
     let mut deadline_ms = 0u64;
     let mut retries = 0u32;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    let mut args = Args::new("run", args);
+    while let Some(arg) = args.next() {
+        match arg {
             "--all" => all = true,
             "--quick" => ctx.quick = true,
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a count")?;
-                ctx.threads = parse_threads(v)?;
-            }
-            "--deadline-ms" => {
-                let v = it.next().ok_or("--deadline-ms needs a count")?;
-                deadline_ms = parse_u64(v)?;
-            }
-            "--retries" => {
-                let v = it.next().ok_or("--retries needs a count")?;
-                retries = v.parse().map_err(|_| format!("invalid retry count {v}"))?;
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                ctx.seed = parse_u64(v)?;
-            }
-            "--artifacts-dir" => {
-                let v = it.next().ok_or("--artifacts-dir needs a path")?;
-                artifacts_dir = Some(PathBuf::from(v));
-            }
+            "--threads" => ctx.threads = args.value(arg, parse_threads)?,
+            "--deadline-ms" => deadline_ms = args.value(arg, parse_u64)?,
+            "--retries" => retries = args.value(arg, parse_u32)?,
+            "--seed" => ctx.seed = args.value(arg, parse_u64)?,
+            "--artifacts-dir" => artifacts_dir = Some(args.path(arg)?),
             "--no-artifacts" => artifacts_dir = None,
             "--resume" => resume = true,
-            flag if flag.starts_with('-') => return Err(format!("unknown run option {flag}")),
-            name => names.push(name.to_string()),
+            name if !name.starts_with('-') => names.push(name.to_string()),
+            other => return Err(args.unknown(other)),
         }
     }
     if all {
@@ -639,43 +589,30 @@ fn run_command(args: &[String]) -> Result<i32, String> {
     });
     let mut recovered: BTreeMap<String, (usize, String)> = BTreeMap::new();
     if let Some(j) = &journal {
-        let mut fresh = true;
-        if resume {
-            match journal::load(j.path(), &header) {
-                Ok(Some(state)) => {
-                    fresh = false;
-                    for (key, payload) in &state.entries {
-                        let Some(name) = key.strip_prefix("scenario:") else { continue };
-                        if !names.iter().any(|n| n == name) {
-                            continue;
-                        }
-                        match parse_scenario_payload(payload) {
-                            Some(entry) => {
-                                recovered.insert(name.to_string(), entry);
-                            }
-                            None => {
-                                eprintln!(
-                                    "error: cannot resume from {}: journaled scenario {name} \
-                                     has a malformed payload",
-                                    j.path().display()
-                                );
-                                return Ok(2);
-                            }
-                        }
-                    }
+        let entries = match j.open(&header, resume) {
+            Ok(entries) => entries,
+            Err(e) => {
+                eprintln!("error: {e}");
+                return Ok(2);
+            }
+        };
+        for (key, payload) in &entries {
+            let Some(name) = key.strip_prefix("scenario:") else { continue };
+            if !names.iter().any(|n| n == name) {
+                continue;
+            }
+            match parse_scenario_payload(payload) {
+                Some(entry) => {
+                    recovered.insert(name.to_string(), entry);
                 }
-                Ok(None) => {}
-                Err(e) => {
-                    eprintln!("error: cannot resume from {}: {e}", j.path().display());
-                    eprintln!("hint: delete the journal (or drop --resume) to start fresh");
+                None => {
+                    eprintln!(
+                        "error: cannot resume from {}: journaled scenario {name} \
+                         has a malformed payload",
+                        j.path().display()
+                    );
                     return Ok(2);
                 }
-            }
-        }
-        if fresh {
-            if let Err(e) = j.begin(&header) {
-                eprintln!("error: cannot start journal {}: {e}", j.path().display());
-                return Ok(2);
             }
         }
     }
@@ -1038,5 +975,77 @@ mod tests {
             parse_fuzz_args(&strings(&["--list-invariants"])).unwrap(),
             FuzzCommand::ListInvariants
         ));
+    }
+
+    /// Every `--flag` of the USAGE synopses as `(command, flag, value)`:
+    /// the command's words (`"pool run"`) and, for a flag that takes one,
+    /// a value its parser accepts, chosen by the placeholder after it.
+    fn usage_flags() -> Vec<(String, &'static str, Option<&'static str>)> {
+        let mut out = Vec::new();
+        let mut cmd = String::new();
+        for line in USAGE.split("COMMANDS:").next().unwrap().lines() {
+            let words: Vec<&'static str> = line.split_whitespace().collect();
+            if words.first() == Some(&"specrun-lab") {
+                let nested = matches!(words[1], "pool" | "trace");
+                cmd = words[1..if nested { 3 } else { 2 }].join(" ");
+            }
+            for (i, word) in words.iter().enumerate() {
+                let flag = word.trim_matches(|c| c == '[' || c == ']');
+                if !flag.starts_with("--") {
+                    continue;
+                }
+                let value = match words.get(i + 1).map(|w| w.trim_end_matches(']')) {
+                    _ if word.ends_with(']') => None,
+                    Some("N") => Some("1"),
+                    Some("F") => Some("0.5"),
+                    Some("DIR" | "PATH" | "FILE") => Some("x"),
+                    Some("NAME") if flag == "--drill" => Some(chaos::DRILL_NAMES[0]),
+                    Some("NAME") => Some(fuzz::INVARIANTS[0].name),
+                    Some(choices) if choices.contains('|') => choices.split('|').next(),
+                    _ => None,
+                };
+                out.push((cmd.clone(), flag, value));
+            }
+        }
+        out
+    }
+
+    /// Runs `cmd`'s parser on a minimal valid invocation plus `extra`.
+    fn parse_with(cmd: &str, extra: &[&str]) -> Result<(), String> {
+        let with = |base: &[&str]| strings(&[base, extra].concat());
+        match cmd {
+            "run" => parse_run_args(&with(&["--all"])).map(drop),
+            "perf" => PerfOptions::default().apply_args(&with(&[])).map(drop),
+            "pool run" => parse_pool_args(&with(&["run", "spec.json"])).map(drop),
+            "fuzz" => parse_fuzz_args(&with(&["--replay", "fail_0.json"])).map(drop),
+            "chaos" => parse_chaos_args(&with(&[])).map(drop),
+            "trace record" => {
+                crate::trace::parse_trace_args(&with(&["record", "--out", "t.bin"])).map(drop)
+            }
+            "trace replay" => crate::trace::parse_trace_args(&with(&["replay", "t.bin"])).map(drop),
+            other => panic!("USAGE lists flags for {other}, which has no parser here"),
+        }
+    }
+
+    #[test]
+    fn every_usage_flag_is_accepted_by_its_parser() {
+        let flags = usage_flags();
+        assert!(flags.len() >= 30, "the synopsis scan found only {} flags", flags.len());
+        for (cmd, flag, value) in &flags {
+            let args: Vec<&str> = [Some(*flag), *value].into_iter().flatten().collect();
+            assert_eq!(parse_with(cmd, &args), Ok(()), "`{cmd} {flag}` from USAGE is rejected");
+        }
+    }
+
+    #[test]
+    fn parsers_reject_unknown_flags_and_missing_values() {
+        for (cmd, flag, value) in usage_flags() {
+            let err = parse_with(&cmd, &["--bogus"]).unwrap_err();
+            assert!(err.contains("unknown") && err.contains("--bogus"), "{cmd}: {err}");
+            if value.is_some() {
+                let err = parse_with(&cmd, &[flag]).unwrap_err();
+                assert_eq!(err, format!("{flag} needs a value"), "`{cmd} {flag}` at the end");
+            }
+        }
     }
 }

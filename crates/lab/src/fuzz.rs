@@ -37,7 +37,7 @@ use specrun_workloads::supervisor::{
     panic_message, supervised_map_with, CancelToken, SupervisorConfig, UnitCtx, UnitOutcome,
 };
 
-use crate::journal::{self, Journal, JournalError};
+use crate::journal::Journal;
 use crate::json::Json;
 use crate::sink::{ArtifactSink, FsSink};
 
@@ -539,15 +539,6 @@ fn render_fail_file(opts: &FuzzOptions, case_plan: &Plan, case: &FailCase) -> St
     s
 }
 
-/// Why a journaled campaign could not run at all (distinct from plans
-/// failing *inside* a campaign, which are reported results).
-enum CampaignAbort {
-    /// The resume journal is corrupt or belongs to another campaign.
-    Journal(JournalError),
-    /// The journal could not be written.
-    Io(String),
-}
-
 /// Runs a fuzz campaign without touching the filesystem.
 pub fn campaign(opts: &FuzzOptions) -> CampaignResult {
     let (result, _) = campaign_with(opts, None)
@@ -629,7 +620,7 @@ fn unit_failure_violation(error: &RunError, history: &[String], quarantined: boo
 fn campaign_with(
     opts: &FuzzOptions,
     journal: Option<(&dyn ArtifactSink, PathBuf)>,
-) -> Result<(CampaignResult, u64), CampaignAbort> {
+) -> Result<(CampaignResult, u64), String> {
     let invert = opts.invert.as_deref();
     let plans: Vec<Plan> =
         (0..opts.plans).map(|i| Plan::generate(opts.seed, i, opts.quick)).collect();
@@ -638,25 +629,13 @@ fn campaign_with(
     let journal = journal.map(|(sink, path)| Journal::new(sink, path));
     let mut skip: BTreeSet<u64> = BTreeSet::new();
     if let Some(j) = &journal {
-        if opts.resume {
-            match journal::load(j.path(), &header) {
-                Ok(Some(state)) => {
-                    for (key, payload) in &state.entries {
-                        let index = key.strip_prefix("plan:").and_then(|s| s.parse::<u64>().ok());
-                        if let Some(index) = index {
-                            if index < opts.plans && payload.starts_with("ok") {
-                                skip.insert(index);
-                            }
-                        }
-                    }
+        for (key, payload) in j.open(&header, opts.resume)? {
+            let index = key.strip_prefix("plan:").and_then(|s| s.parse::<u64>().ok());
+            if let Some(index) = index {
+                if index < opts.plans && payload.starts_with("ok") {
+                    skip.insert(index);
                 }
-                Ok(None) => {
-                    j.begin(&header).map_err(|e| CampaignAbort::Io(e.to_string()))?;
-                }
-                Err(e) => return Err(CampaignAbort::Journal(e)),
             }
-        } else {
-            j.begin(&header).map_err(|e| CampaignAbort::Io(e.to_string()))?;
         }
     }
 
@@ -737,7 +716,7 @@ fn campaign_with(
         by_index.insert(plan.index, violations);
     }
     if let Some(e) = journal_error.into_inner().unwrap() {
-        return Err(CampaignAbort::Io(e));
+        return Err(e);
     }
 
     let mut tallies: Vec<(String, u64, u64)> =
@@ -874,20 +853,57 @@ fn render_report(
     .render()
 }
 
-/// Extracts `"key": "value"` (string) from a fail file's text.
-fn extract_str(body: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\": \"");
-    let start = body.find(&needle)? + needle.len();
-    let end = body[start..].find('"')?;
-    Some(body[start..start + end].to_string())
+/// What a fail file records about its failing plan: enough to regenerate
+/// and re-check it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FailFile {
+    /// Seed of the campaign that produced the plan.
+    pub campaign_seed: u64,
+    /// The plan's index in that campaign.
+    pub plan_index: u64,
+    /// Whether the campaign ran at quick scale.
+    pub quick: bool,
+    /// The invariant the campaign inverted, if any.
+    pub inverted_invariant: Option<String>,
+    /// Digest of the shrunk reproducer, when recorded.
+    pub shrunk_digest: Option<String>,
 }
 
-/// Extracts `"key": value` (number) from a fail file's text.
-fn extract_num(body: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\": ");
-    let start = body.find(&needle)? + needle.len();
-    let digits: String = body[start..].chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
+/// Decodes a `fail_<index>.json` file strictly: it must be one complete
+/// JSON document (ending in the newline every written fail file ends
+/// with, so a truncated copy is rejected), carry the `"fuzz_fail":
+/// "specrun"` marker, a `campaign_seed` string holding a u64, an integer
+/// `plan_index`, a `mode` of `quick` or `full`, and an
+/// `inverted_invariant` that is null or a registered invariant's name.
+pub fn parse_fail_file(text: &str) -> Result<FailFile, String> {
+    if !text.ends_with('\n') {
+        return Err("truncated fail file (no final newline)".into());
+    }
+    let doc = Json::parse(text)?;
+    if doc.get("fuzz_fail").and_then(Json::as_str) != Some("specrun") {
+        return Err("missing `\"fuzz_fail\": \"specrun\"` marker".into());
+    }
+    let campaign_seed = doc
+        .get("campaign_seed")
+        .and_then(Json::as_str)
+        .and_then(|s| s.parse().ok())
+        .ok_or("`campaign_seed` must be a string holding a u64")?;
+    let plan_index = match doc.get("plan_index") {
+        Some(n @ Json::Num(_)) => crate::pool::u64_of(n, "`plan_index`")?,
+        _ => return Err("`plan_index` must be an integer".into()),
+    };
+    let quick = match doc.get("mode").and_then(Json::as_str) {
+        Some("quick") => true,
+        Some("full") => false,
+        _ => return Err("`mode` must be \"quick\" or \"full\"".into()),
+    };
+    let inverted_invariant = match doc.get("inverted_invariant") {
+        Some(Json::Null) => None,
+        Some(Json::Str(name)) if find_invariant(name).is_some() => Some(name.clone()),
+        _ => return Err("`inverted_invariant` must be null or a registered invariant".into()),
+    };
+    let shrunk_digest = doc.get("shrunk_digest").and_then(Json::as_str).map(String::from);
+    Ok(FailFile { campaign_seed, plan_index, quick, inverted_invariant, shrunk_digest })
 }
 
 /// Replays a failing-plan file: regenerates the plan from its recorded
@@ -910,21 +926,18 @@ pub fn replay(
             return 2;
         }
     };
-    let (seed, index, mode) = match (
-        extract_str(&body, "campaign_seed").and_then(|s| s.parse::<u64>().ok()),
-        extract_num(&body, "plan_index"),
-        extract_str(&body, "mode"),
-    ) {
-        (Some(s), Some(i), Some(m)) => (s, i, m),
-        _ => {
-            eprintln!("error: {} is not a specrun fuzz fail file", path.display());
-            return 2;
-        }
-    };
-    let invert = extract_str(&body, "inverted_invariant");
-    let plan = Plan::generate(seed, index, mode == "quick");
+    let FailFile { campaign_seed, plan_index, quick, inverted_invariant: invert, shrunk_digest } =
+        match parse_fail_file(&body) {
+            Ok(file) => file,
+            Err(e) => {
+                eprintln!("error: {} is not a valid specrun fuzz fail file: {e}", path.display());
+                return 2;
+            }
+        };
+    let plan = Plan::generate(campaign_seed, plan_index, quick);
     println!(
-        "replaying plan {index} of campaign seed {seed} ({mode} scale){}",
+        "replaying plan {plan_index} of campaign seed {campaign_seed} ({} scale){}",
+        if quick { "quick" } else { "full" },
         invert.as_deref().map(|n| format!(", inverted invariant {n}")).unwrap_or_default()
     );
     if let Some(trace_path) = trace {
@@ -967,7 +980,7 @@ pub fn replay(
     let digest = fnv1a(shrunk.to_json(0).as_bytes());
     println!("shrunk plan (weight {}, digest {:016x}):", shrunk.weight(), digest);
     println!("{}", shrunk.to_json(0));
-    match extract_str(&body, "shrunk_digest") {
+    match shrunk_digest {
         Some(recorded) if recorded == format!("{digest:016x}") => {
             println!("shrunk digest matches the recorded failure");
         }
@@ -996,12 +1009,7 @@ pub fn run_with(opts: &FuzzOptions, sink: &dyn ArtifactSink) -> i32 {
     let journal_path = opts.journal_path();
     let (result, skipped) = match campaign_with(opts, Some((sink, journal_path.clone()))) {
         Ok(ok) => ok,
-        Err(CampaignAbort::Journal(e)) => {
-            eprintln!("error: cannot resume from {}: {e}", journal_path.display());
-            eprintln!("hint: delete the journal (or drop --resume) to start fresh");
-            return 2;
-        }
-        Err(CampaignAbort::Io(e)) => {
+        Err(e) => {
             eprintln!("error: {e}");
             return 2;
         }

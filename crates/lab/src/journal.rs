@@ -83,17 +83,10 @@ impl std::error::Error for JournalError {}
 /// Everything a journal recorded, in append order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JournalState {
-    /// `(key, payload)` per entry; duplicate keys keep the last payload.
+    /// `(key, payload)` per entry, in append order.
     pub entries: Vec<(String, String)>,
     /// Whether a torn final line was dropped.
     pub torn_tail: bool,
-}
-
-impl JournalState {
-    /// The payload of the last entry recorded under `key`, if any.
-    pub fn payload(&self, key: &str) -> Option<&str> {
-        self.entries.iter().rev().find(|(k, _)| k == key).map(|(_, p)| p.as_str())
-    }
 }
 
 /// Renders one entry line (`e <key> <payload> <digest>`). Exposed so the
@@ -179,9 +172,33 @@ impl<'a> Journal<'a> {
         &self.path
     }
 
+    /// Opens the journal of the campaign `header` names. With `resume`,
+    /// an existing journal's entries are returned for the caller to skip;
+    /// otherwise, or when there is none, a fresh journal is begun and no
+    /// entries are returned. The error is a complete message, with a hint
+    /// when a journal refuses to resume.
+    pub fn open(&self, header: &str, resume: bool) -> Result<Vec<(String, String)>, String> {
+        if resume {
+            match load(&self.path, header) {
+                Ok(Some(state)) => return Ok(state.entries),
+                Ok(None) => {}
+                Err(e) => {
+                    return Err(format!(
+                        "cannot resume from {}: {e}\n\
+                         hint: delete the journal (or drop --resume) to start fresh",
+                        self.path.display()
+                    ));
+                }
+            }
+        }
+        self.begin(header)
+            .map_err(|e| format!("cannot start journal {}: {e}", self.path.display()))?;
+        Ok(Vec::new())
+    }
+
     /// Starts a fresh journal: removes any stale file and writes the
     /// header line.
-    pub fn begin(&self, header: &str) -> io::Result<()> {
+    fn begin(&self, header: &str) -> io::Result<()> {
         self.sink.remove(&self.path)?;
         self.sink.append_line(&self.path, &format!("{JOURNAL_MAGIC} {header}"))
     }
@@ -227,7 +244,6 @@ mod tests {
                 ("plan:2".to_string(), String::new()),
             ]
         );
-        assert_eq!(state.payload("plan:1"), Some("fail determinism"));
         j.finish().unwrap();
         assert!(load(j.path(), "fuzz seed=1 plans=4").unwrap().is_none());
         let _ = std::fs::remove_dir_all(&dir);

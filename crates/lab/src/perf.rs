@@ -30,6 +30,7 @@ use specrun_workloads::kernels;
 use specrun_workloads::pool::CampaignSpec;
 use specrun_workloads::Workload;
 
+use crate::cli::{parse_rate, parse_u32, Args};
 use crate::report::{parse_metrics, BenchReport};
 
 /// Metrics that the baseline gate must always manage to compare — the
@@ -64,7 +65,7 @@ pub struct PerfOptions {
     /// Baseline to gate against.
     pub baseline: BaselineSource,
     /// Maximum tolerated fractional drop in any `*_cycles_per_sec` metric
-    /// before the gate fails (default 0.25).
+    /// before the gate fails, in `[0, 1]` (default 0.25).
     pub max_drop: f64,
     /// Wall-clock measurements per workload; the *best* (fastest) of the
     /// repeats is reported. On a noisy shared host a single sample can be
@@ -86,41 +87,35 @@ impl PerfOptions {
     /// `--baseline PATH`, `--baseline-from-git`, `--max-drop F`,
     /// `--repeats N`).
     pub fn apply_args(mut self, args: &[String]) -> Result<PerfOptions, String> {
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
+        let mut args = Args::new("perf", args);
+        while let Some(arg) = args.next() {
+            match arg {
                 "--quick" => self.quick = true,
                 "--baseline" => {
-                    let path = it.next().ok_or("--baseline needs a path")?;
-                    self.baseline = BaselineSource::Path(path.clone());
+                    self.baseline = BaselineSource::Path(args.value(arg, |v| Ok(v.to_string()))?);
                 }
                 "--baseline-from-git" => self.baseline = BaselineSource::Git,
-                "--max-drop" => {
-                    let v = it.next().ok_or("--max-drop needs a value")?;
-                    self.max_drop =
-                        v.parse().map_err(|_| format!("invalid --max-drop value {v}"))?;
-                }
+                "--max-drop" => self.max_drop = args.value(arg, parse_rate)?,
                 "--repeats" => {
-                    let v = it.next().ok_or("--repeats needs a count")?;
-                    self.repeats = v.parse().map_err(|_| format!("invalid --repeats value {v}"))?;
+                    self.repeats = args.value(arg, parse_u32)?;
                     if self.repeats == 0 {
                         return Err("--repeats must be at least 1".to_string());
                     }
                 }
-                other => return Err(format!("unknown perf option {other}")),
+                other => return Err(args.unknown(other)),
             }
         }
         Ok(self)
     }
 }
 
-/// Reads the baseline report contents, *before* any new report is written.
-fn read_baseline(source: &BaselineSource) -> Result<Option<String>, String> {
-    match source {
-        BaselineSource::None => Ok(None),
+/// Reads and parses the baseline report's metrics, *before* any new
+/// report is written.
+fn read_baseline(source: &BaselineSource) -> Result<Option<Vec<(String, f64)>>, String> {
+    let text = match source {
+        BaselineSource::None => return Ok(None),
         BaselineSource::Path(path) => std::fs::read_to_string(path)
-            .map(Some)
-            .map_err(|e| format!("cannot read baseline {path}: {e}")),
+            .map_err(|e| format!("cannot read baseline {path}: {e}"))?,
         BaselineSource::Git => {
             let out = std::process::Command::new("git")
                 .args(["show", "HEAD:BENCH_step.json"])
@@ -133,10 +128,10 @@ fn read_baseline(source: &BaselineSource) -> Result<Option<String>, String> {
                 ));
             }
             String::from_utf8(out.stdout)
-                .map(Some)
-                .map_err(|e| format!("committed baseline is not UTF-8: {e}"))
+                .map_err(|e| format!("committed baseline is not UTF-8: {e}"))?
         }
-    }
+    };
+    parse_metrics(&text).map(Some).map_err(|e| format!("cannot parse the baseline: {e}"))
 }
 
 struct KernelResult {
@@ -463,7 +458,7 @@ pub fn run(opts: &PerfOptions) -> i32 {
     println!("wrote {}", path.display());
 
     if let Some(baseline) = baseline {
-        check_against_baseline(&report, &parse_metrics(&baseline), opts.max_drop)
+        check_against_baseline(&report, &baseline, opts.max_drop)
     } else {
         0
     }
@@ -630,6 +625,18 @@ mod tests {
     fn baseline_from_git_flag_parses() {
         let opts = PerfOptions::default().apply_args(&["--baseline-from-git".to_string()]).unwrap();
         assert_eq!(opts.baseline, BaselineSource::Git);
+    }
+
+    #[test]
+    fn max_drop_must_be_a_fraction() {
+        // A NaN threshold would make `ratio < 1.0 - max_drop` false for
+        // every metric and pass any regression.
+        for bad in ["NaN", "-0.1", "1.5"] {
+            let err = PerfOptions::default()
+                .apply_args(&["--max-drop".to_string(), bad.to_string()])
+                .unwrap_err();
+            assert!(err.contains(bad), "{bad}: {err}");
+        }
     }
 
     #[test]

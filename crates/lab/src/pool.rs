@@ -211,7 +211,7 @@ fn decode_warm(json: &Json) -> Result<Vec<WarmStep>, String> {
 /// Decodes an unsigned integer that may be a JSON number or a string
 /// (decimal or `0x`-prefixed hex — addresses and 64-bit seeds are emitted
 /// as strings because f64 cannot hold them exactly).
-fn u64_of(value: &Json, what: &str) -> Result<u64, String> {
+pub(crate) fn u64_of(value: &Json, what: &str) -> Result<u64, String> {
     match value {
         Json::Num(n) if *n >= 0.0 && n.trunc() == *n && *n < 9_007_199_254_740_992.0 => {
             Ok(*n as u64)
@@ -309,6 +309,22 @@ mod tests {
         assert_eq!(parse_spec(&spec.to_json(0)).unwrap(), spec);
         // And at a nonzero indent (the rendering used when embedding).
         assert_eq!(parse_spec(&spec.to_json(2)).unwrap(), spec);
+    }
+
+    #[test]
+    fn spec_and_plan_documents_keep_their_bytes() {
+        // Both documents render layout, warm and knobs through one shared
+        // helper; these digests pin the bytes spec files and fail files
+        // have always had, with and without warm-up steps.
+        let fnv = |text: String| specrun_mem::fnv1a(text.as_bytes());
+        let plan = specrun_workloads::plan::Plan::generate(0xC0FFEE, 1, true);
+        assert_eq!(plan.warm.len(), 3);
+        assert_eq!(fnv(plan.to_json(0)), 0xa38a_d9ed_8f09_90ae);
+        assert_eq!(fnv(plan.to_json(1)), 0x3d67_5f3e_959d_ea9e);
+        let mut spec = CampaignSpec::paper_matrix();
+        assert_eq!(fnv(spec.to_json(0)), 0xb5f6_8948_b450_3c1f);
+        spec.warm = plan.warm;
+        assert_eq!(fnv(spec.to_json(1)), 0xed7b_0a44_64b4_3be1);
     }
 
     #[test]

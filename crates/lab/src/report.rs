@@ -268,24 +268,17 @@ impl BenchReport {
     }
 }
 
-/// Parses the numeric metrics out of a flat `BENCH_*.json` report (the
-/// shape [`BenchReport::to_json`] writes: one `"key": value` pair per
-/// line). String notes are skipped. Used by the CI perf-regression gate to
-/// read the committed baseline without a JSON dependency.
-pub fn parse_metrics(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some((key, value)) = line.split_once(':') else { continue };
-        let key = key.trim();
-        if key.len() < 2 || !key.starts_with('"') || !key.ends_with('"') {
-            continue;
+/// Reads the numeric metrics of a `BENCH_*.json` report (the flat object
+/// [`BenchReport::to_json`] writes) in document order; string notes are
+/// skipped. Malformed JSON is an error, so the perf gate never compares
+/// against a half-read baseline.
+pub fn parse_metrics(json: &str) -> Result<Vec<(String, f64)>, String> {
+    match Json::parse(json)? {
+        Json::Obj(fields) => {
+            Ok(fields.into_iter().filter_map(|(k, v)| Some((k, v.as_num()?))).collect())
         }
-        if let Ok(v) = value.trim().parse::<f64>() {
-            out.push((key[1..key.len() - 1].to_string(), v));
-        }
+        _ => Err("a bench report must be a JSON object".into()),
     }
-    out
 }
 
 #[cfg(test)]
@@ -314,12 +307,13 @@ mod tests {
         r.note("quick_mode", "yes");
         r.metric("a_cycles_per_sec", 1234.5);
         r.metric("cycles", 600227.0);
-        let parsed = parse_metrics(&r.to_json());
+        let parsed = parse_metrics(&r.to_json()).unwrap();
         assert_eq!(
             parsed,
             vec![("a_cycles_per_sec".to_string(), 1234.5), ("cycles".to_string(), 600227.0)],
             "string notes are skipped, numbers survive"
         );
+        assert!(parse_metrics(&r.to_json()[..40]).is_err(), "a torn baseline is an error");
     }
 
     #[test]

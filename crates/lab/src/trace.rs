@@ -30,6 +30,7 @@ use specrun_trace::{
     encode_events, first_divergence, read_trace_file, stream_stats, PipelineEvent, TraceSink as _,
 };
 
+use crate::cli::Args;
 use crate::json::Json;
 use crate::registry::FIG11_SLIDE;
 use crate::sink::{ArtifactSink, ArtifactTraceSink, FsSink};
@@ -82,22 +83,19 @@ fn policy_label(policy: Policy) -> &'static str {
 }
 
 pub(crate) fn parse_trace_args(args: &[String]) -> Result<TraceCommand, String> {
-    let mut it = args.iter();
-    match it.next().map(String::as_str) {
+    let rest = args.get(1..).unwrap_or_default();
+    match args.first().map(String::as_str) {
         Some("record") => {
             let mut out = None;
             let mut policy = Policy::Runahead;
             let mut metrics = None;
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--out" => out = Some(PathBuf::from(it.next().ok_or("--out needs a path")?)),
-                    "--policy" => {
-                        policy = parse_policy(it.next().ok_or("--policy needs a name")?)?;
-                    }
-                    "--metrics" => {
-                        metrics = Some(PathBuf::from(it.next().ok_or("--metrics needs a path")?));
-                    }
-                    other => return Err(format!("unknown trace record option {other}")),
+            let mut args = Args::new("trace record", rest);
+            while let Some(arg) = args.next() {
+                match arg {
+                    "--out" => out = Some(args.path(arg)?),
+                    "--policy" => policy = args.value(arg, parse_policy)?,
+                    "--metrics" => metrics = Some(args.path(arg)?),
+                    other => return Err(args.unknown(other)),
                 }
             }
             let out = out.ok_or("trace record needs --out PATH")?;
@@ -106,30 +104,23 @@ pub(crate) fn parse_trace_args(args: &[String]) -> Result<TraceCommand, String> 
         Some("replay") => {
             let mut path = None;
             let mut metrics = None;
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--metrics" => {
-                        metrics = Some(PathBuf::from(it.next().ok_or("--metrics needs a path")?));
-                    }
-                    flag if flag.starts_with('-') => {
-                        return Err(format!("unknown trace replay option {flag}"));
-                    }
-                    p if path.is_none() => path = Some(PathBuf::from(p)),
-                    extra => return Err(format!("unexpected trace replay argument {extra}")),
+            let mut args = Args::new("trace replay", rest);
+            while let Some(arg) = args.next() {
+                match arg {
+                    "--metrics" => metrics = Some(args.path(arg)?),
+                    p if !p.starts_with('-') && path.is_none() => path = Some(PathBuf::from(p)),
+                    other => return Err(args.unknown(other)),
                 }
             }
             let path = path.ok_or("trace replay needs a log file")?;
             Ok(TraceCommand::Replay { path, metrics })
         }
-        Some("diff") => {
-            let positional: Vec<&String> = it.collect();
-            match positional.as_slice() {
-                [a, b] if !a.starts_with('-') && !b.starts_with('-') => {
-                    Ok(TraceCommand::Diff { a: PathBuf::from(a), b: PathBuf::from(b) })
-                }
-                _ => Err("trace diff needs exactly two log files".into()),
+        Some("diff") => match rest {
+            [a, b] if !a.starts_with('-') && !b.starts_with('-') => {
+                Ok(TraceCommand::Diff { a: PathBuf::from(a), b: PathBuf::from(b) })
             }
-        }
+            _ => Err("trace diff needs exactly two log files".into()),
+        },
         Some(other) => {
             Err(format!("unknown trace subcommand {other} (expected record, replay or diff)"))
         }

@@ -95,6 +95,48 @@ fn replay_reproduces_a_recorded_failure() {
 }
 
 #[test]
+fn fail_files_are_read_strictly() {
+    let opts = FuzzOptions { invert: Some("makes_progress".to_string()), ..quick_opts(1, 1) };
+    let result = fuzz::campaign(&opts);
+    let body = &result.failures[0].file_body;
+    let file = fuzz::parse_fail_file(body).expect("a written fail file decodes");
+    assert_eq!((file.campaign_seed, file.plan_index, file.quick), (0xC0FFEE, 0, true));
+    assert_eq!(file.inverted_invariant.as_deref(), Some("makes_progress"));
+    assert_eq!(file.shrunk_digest, Some(format!("{:016x}", result.failures[0].digest)));
+
+    // A copy cut short anywhere is not a reproducer.
+    for len in 0..body.len() {
+        assert!(fuzz::parse_fail_file(&body[..len]).is_err(), "accepted a {len}-byte prefix");
+    }
+    let corrupt = |from: &str, to: &str| {
+        assert!(body.contains(from), "{from}");
+        body.replace(from, to)
+    };
+    let renamed = corrupt(
+        "\"inverted_invariant\": \"makes_progress\"",
+        "\"inverted_invariant\": \"makes_progresz\"",
+    );
+    for bad in [
+        renamed.clone(),
+        corrupt("\"plan_index\": 0,", "\"plan_index\": 0.5,"),
+        corrupt("\"campaign_seed\": \"12648430\"", "\"campaign_seed\": 12648430"),
+        corrupt("\"mode\": \"quick\"", "\"mode\": \"fast\""),
+    ] {
+        assert!(fuzz::parse_fail_file(&bad).is_err(), "accepted:\n{bad}");
+    }
+
+    // Replay refuses them with exit 2 instead of running something else.
+    let dir = std::env::temp_dir().join(format!("specrun_fuzz_strict_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, text) in [("torn.json", &body[..body.len() / 2]), ("renamed.json", &renamed)] {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        assert_eq!(fuzz::replay(&path, None, &FsSink), 2, "{name}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn panicking_plan_renders_the_pinned_violation_at_any_thread_count() {
     // Golden digests of a campaign whose plan 1 panics: the report and the
     // fail file must keep the exact bytes the panic path has always

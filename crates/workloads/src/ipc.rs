@@ -164,20 +164,6 @@ pub fn compare(workload: &Workload, max_cycles: u64) -> IpcComparison {
     }
 }
 
-/// Runs one kernel on both machines with a custom "runahead" configuration
-/// (used by the defense-overhead and policy-ablation experiments).
-pub fn compare_with(
-    workload: &Workload,
-    runahead_cfg: CpuConfig,
-    max_cycles: u64,
-) -> IpcComparison {
-    IpcComparison {
-        name: workload.name,
-        baseline: run_workload(workload, CpuConfig::no_runahead(), max_cycles),
-        runahead: run_workload(workload, runahead_cfg, max_cycles),
-    }
-}
-
 /// Runs every workload on both machines with all runs fanned out over
 /// `threads` workers (`0` = all host cores) — the parallel Fig. 7 harness.
 /// Results are identical to calling [`compare`] per workload, in order.
@@ -186,23 +172,12 @@ pub fn compare_parallel(
     max_cycles: u64,
     threads: usize,
 ) -> Vec<IpcComparison> {
-    compare_matrix_parallel(workloads, CpuConfig::default(), max_cycles, threads)
-}
-
-/// [`compare_parallel`] with a custom "runahead" machine configuration
-/// (defense-overhead and policy-ablation sweeps).
-pub fn compare_matrix_parallel(
-    workloads: &[Workload],
-    runahead_cfg: CpuConfig,
-    max_cycles: u64,
-    threads: usize,
-) -> Vec<IpcComparison> {
     // Flatten to one job per (workload, machine) so uneven kernels still
     // fill every worker.
     let jobs: Vec<(usize, CpuConfig)> = workloads
         .iter()
         .enumerate()
-        .flat_map(|(i, _)| [(i, CpuConfig::no_runahead()), (i, runahead_cfg.clone())])
+        .flat_map(|(i, _)| [(i, CpuConfig::no_runahead()), (i, CpuConfig::default())])
         .collect();
     let mut results = crate::harness::parallel_map(&jobs, threads, |_, (wi, cfg)| {
         run_workload(&workloads[*wi], cfg.clone(), max_cycles)

@@ -29,13 +29,10 @@ pub mod supervisor;
 
 pub use clock::{ChaosClock, Clock, WallClock};
 pub use fuzz::shrink_plan;
-pub use harness::{
-    parallel_map, try_parallel_map, ConfigMatrix, RunError, Summary, TrialError, TrialSpec,
-    MAX_THREADS,
-};
+pub use harness::{parallel_map, try_parallel_map, RunError, Summary, TrialError, MAX_THREADS};
 pub use ipc::{
-    compare, compare_with, geomean_speedup, run_workload_observed, try_run_workload,
-    try_run_workload_observed, IpcComparison, IpcResult, DEFAULT_ITERS,
+    compare, geomean_speedup, run_workload_observed, try_run_workload, try_run_workload_observed,
+    IpcComparison, IpcResult, DEFAULT_ITERS,
 };
 pub use kernels::Workload;
 pub use metrics::{MetricSet, MetricSource};
@@ -67,7 +64,7 @@ pub fn suite_with_iters(iters: u32) -> Vec<Workload> {
 
 /// Commonly used items for examples and tests.
 pub mod prelude {
-    pub use crate::harness::{parallel_map, ConfigMatrix, Summary};
+    pub use crate::harness::{parallel_map, Summary};
     pub use crate::ipc::{compare, geomean_speedup, IpcComparison};
     pub use crate::kernels::Workload;
     pub use crate::metrics::{MetricSet, MetricSource};

@@ -547,7 +547,6 @@ impl Plan {
     /// leading whitespace.
     pub fn to_json(&self, indent: usize) -> String {
         let pad = "  ".repeat(indent + 1);
-        let pad2 = "  ".repeat(indent + 2);
         let close = "  ".repeat(indent);
         let mut s = String::new();
         s.push_str("{\n");
@@ -561,49 +560,63 @@ impl Plan {
         s.push_str(&format!("{pad}\"attack_filler\": {},\n", self.victim.attack_filler));
         s.push_str(&format!("{pad}\"max_cycles\": {},\n", self.victim.max_cycles));
         s.push_str(&format!("{pad}\"secret\": {},\n", self.secret));
-        let l = &self.layout;
-        s.push_str(&format!("{pad}\"layout\": {{\n"));
-        s.push_str(&format!("{pad2}\"bound_addr\": \"{:#x}\",\n", l.bound_addr));
-        s.push_str(&format!("{pad2}\"bound_value\": {},\n", l.bound_value));
-        s.push_str(&format!("{pad2}\"array1_base\": \"{:#x}\",\n", l.array1_base));
-        s.push_str(&format!("{pad2}\"secret_addr\": \"{:#x}\",\n", l.secret_addr));
-        s.push_str(&format!("{pad2}\"probe_base\": \"{:#x}\",\n", l.probe_base));
-        s.push_str(&format!("{pad2}\"probe_stride\": {},\n", l.probe_stride));
-        s.push_str(&format!("{pad2}\"probe_entries\": {},\n", l.probe_entries));
-        s.push_str(&format!("{pad2}\"results_base\": \"{:#x}\"\n", l.results_base));
-        s.push_str(&format!("{pad}}},\n"));
-        s.push_str(&format!("{pad}\"warm\": ["));
-        for (i, w) in self.warm.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\n{pad2}{{\"addr\": \"{:#x}\", \"len\": {}}}", w.addr, w.len));
-        }
-        if self.warm.is_empty() {
-            s.push_str("],\n");
-        } else {
-            s.push_str(&format!("\n{pad}],\n"));
-        }
-        let k = &self.knobs;
-        s.push_str(&format!("{pad}\"knobs\": {{\n"));
-        s.push_str(&format!("{pad2}\"rob_entries\": {},\n", k.rob_entries));
-        s.push_str(&format!("{pad2}\"lq_entries\": {},\n", k.lq_entries));
-        s.push_str(&format!("{pad2}\"sq_entries\": {},\n", k.sq_entries));
-        s.push_str(&format!("{pad2}\"enter_penalty\": {},\n", k.enter_penalty));
-        s.push_str(&format!("{pad2}\"exit_penalty\": {},\n", k.exit_penalty));
-        s.push_str(&format!("{pad2}\"train_predictor\": {},\n", k.train_predictor));
-        s.push_str(&format!("{pad2}\"checkpoint_predictor\": {},\n", k.checkpoint_predictor));
-        s.push_str(&format!("{pad2}\"vector_lanes\": {},\n", k.vector_lanes));
-        s.push_str(&format!("{pad2}\"min_episode_yield\": {},\n", k.min_episode_yield));
-        s.push_str(&format!("{pad2}\"useless_backoff\": {},\n", k.useless_backoff));
-        s.push_str(&format!("{pad2}\"runahead_cache_bytes\": {},\n", k.runahead_cache_bytes));
-        s.push_str(&format!("{pad2}\"sl_entries\": {},\n", k.sl_entries));
-        s.push_str(&format!("{pad2}\"sl_latency\": {},\n", k.sl_latency));
-        s.push_str(&format!("{pad2}\"fast_forward\": {}\n", k.fast_forward));
-        s.push_str(&format!("{pad}}}\n"));
-        s.push_str(&format!("{close}}}"));
+        push_geometry_json(&mut s, indent, &self.layout, &self.warm, &self.knobs);
+        s.push_str(&format!("\n{close}}}"));
         s
     }
+}
+
+/// Appends the `layout`, `warm` and `knobs` members shared by
+/// [`Plan::to_json`] and [`CampaignSpec::to_json`](crate::pool::CampaignSpec::to_json),
+/// for an object whose opening brace sits at depth `indent`. Stops after
+/// the knobs block's closing brace: the caller adds the separator.
+pub(crate) fn push_geometry_json(
+    s: &mut String,
+    indent: usize,
+    l: &PlanLayout,
+    warm: &[WarmStep],
+    k: &KnobSpec,
+) {
+    let pad = "  ".repeat(indent + 1);
+    let pad2 = "  ".repeat(indent + 2);
+    s.push_str(&format!("{pad}\"layout\": {{\n"));
+    s.push_str(&format!("{pad2}\"bound_addr\": \"{:#x}\",\n", l.bound_addr));
+    s.push_str(&format!("{pad2}\"bound_value\": {},\n", l.bound_value));
+    s.push_str(&format!("{pad2}\"array1_base\": \"{:#x}\",\n", l.array1_base));
+    s.push_str(&format!("{pad2}\"secret_addr\": \"{:#x}\",\n", l.secret_addr));
+    s.push_str(&format!("{pad2}\"probe_base\": \"{:#x}\",\n", l.probe_base));
+    s.push_str(&format!("{pad2}\"probe_stride\": {},\n", l.probe_stride));
+    s.push_str(&format!("{pad2}\"probe_entries\": {},\n", l.probe_entries));
+    s.push_str(&format!("{pad2}\"results_base\": \"{:#x}\"\n", l.results_base));
+    s.push_str(&format!("{pad}}},\n"));
+    s.push_str(&format!("{pad}\"warm\": ["));
+    for (i, w) in warm.iter().enumerate() {
+        if i > 0 {
+            s.push(',');
+        }
+        s.push_str(&format!("\n{pad2}{{\"addr\": \"{:#x}\", \"len\": {}}}", w.addr, w.len));
+    }
+    if warm.is_empty() {
+        s.push_str("],\n");
+    } else {
+        s.push_str(&format!("\n{pad}],\n"));
+    }
+    s.push_str(&format!("{pad}\"knobs\": {{\n"));
+    s.push_str(&format!("{pad2}\"rob_entries\": {},\n", k.rob_entries));
+    s.push_str(&format!("{pad2}\"lq_entries\": {},\n", k.lq_entries));
+    s.push_str(&format!("{pad2}\"sq_entries\": {},\n", k.sq_entries));
+    s.push_str(&format!("{pad2}\"enter_penalty\": {},\n", k.enter_penalty));
+    s.push_str(&format!("{pad2}\"exit_penalty\": {},\n", k.exit_penalty));
+    s.push_str(&format!("{pad2}\"train_predictor\": {},\n", k.train_predictor));
+    s.push_str(&format!("{pad2}\"checkpoint_predictor\": {},\n", k.checkpoint_predictor));
+    s.push_str(&format!("{pad2}\"vector_lanes\": {},\n", k.vector_lanes));
+    s.push_str(&format!("{pad2}\"min_episode_yield\": {},\n", k.min_episode_yield));
+    s.push_str(&format!("{pad2}\"useless_backoff\": {},\n", k.useless_backoff));
+    s.push_str(&format!("{pad2}\"runahead_cache_bytes\": {},\n", k.runahead_cache_bytes));
+    s.push_str(&format!("{pad2}\"sl_entries\": {},\n", k.sl_entries));
+    s.push_str(&format!("{pad2}\"sl_latency\": {},\n", k.sl_latency));
+    s.push_str(&format!("{pad2}\"fast_forward\": {}\n", k.fast_forward));
+    s.push_str(&format!("{pad}}}"));
 }
 
 #[cfg(test)]
