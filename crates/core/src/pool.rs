@@ -7,21 +7,41 @@
 //! fuzz plan grammar. Per shard it builds **one** [`ShardSnapshot`]: the
 //! machine configured (policy, then knobs), the campaign's warm-up
 //! applied, the gadget's programs built and predecoded once into
-//! `Arc<DecodedProgram>`s, and every secret-independent attack step —
-//! PHT/BTB text warming, BTB predictor training — already executed. Each
-//! unit then *forks* the snapshot: cloning a [`Session`] clones the
-//! machine, whose backing store shares its pages `Arc`-per-page and
-//! unshares only what the fork writes (see `specrun_mem::BackingStore`),
-//! and whose program slots share the snapshot's predecode. Planting the
-//! secret and running the victim touches a handful of pages, so a fork
-//! costs a small fraction of a fresh [`Session::builder`] build — that
-//! ratio is what `specrun-lab perf` reports as `sessions_per_sec`.
+//! `Arc<DecodedProgram>`s, every secret-independent attack step — text
+//! warming, BTB predictor training, planting the attack data around a
+//! placeholder secret, the gadget's pre-step, loading the victim — already
+//! executed, and the victim already *simulated* up to one cycle before
+//! its first load of the secret byte.
+//!
+//! That last step is what makes the snapshot worth sharing: the secret
+//! can influence the machine only through a simulated read of its byte,
+//! so every cycle before the first such read is identical for every
+//! secret. [`ShardSnapshot::prepare`] finds that cycle with a discovery
+//! run on a throwaway clone (a [`MemHierarchy`] read watch on the secret
+//! byte), then stops the snapshot one cycle short of it with
+//! [`Core::run_to`], which leaves fills and the pipeline in flight exactly
+//! as cycle-by-cycle stepping would. A unit then forks the snapshot,
+//! writes its secret (a host write: no timing, no cache state), and
+//! resumes with what is left of the cycle budget. A victim that halts
+//! without reading the secret is run to its halt; one that neither reads
+//! nor halts is not run ahead at all. The gadget programs store only to
+//! the probe results buffer and the stack, which a valid layout keeps off
+//! the secret byte, so no simulated write is skipped over either.
+//!
+//! Forks are cheap: cloning a [`Session`] clones the machine, whose
+//! backing store shares its pages `Arc`-per-page and unshares only what
+//! the fork writes (see `specrun_mem::BackingStore`), and whose program
+//! slots share the snapshot's predecode.
 //!
 //! [`run_unit_fresh`] is the control: the same unit on a snapshot built
-//! from scratch and consumed in place, never cloned. Fork and fresh runs
-//! must agree **bit for bit** (leak verdict, signature counters,
-//! architectural fingerprint) — the property the tests below pin and the
-//! `pool-repro` CI gate re-checks end to end.
+//! from scratch *without* the simulated prefix, and consumed in place,
+//! never cloned. Fork and fresh runs must agree **bit for bit** (leak
+//! verdict, signature counters, architectural fingerprint, errors) — the
+//! property the tests below pin and the `pool-repro` CI gate re-checks
+//! end to end against pinned report digests.
+//!
+//! [`MemHierarchy`]: specrun_mem::MemHierarchy
+//! [`Core::run_to`]: specrun_cpu::Core::run_to
 
 use std::sync::Arc;
 
@@ -72,44 +92,50 @@ pub fn campaign_layout(spec: &CampaignSpec) -> AttackLayout {
     }
 }
 
-/// The gadget-specific half of a snapshot: predecoded programs plus the
-/// addresses the per-unit steps need. None of these depend on the secret.
+/// What a unit does after the fork, besides simulating: everything in a
+/// snapshot but the machine. None of it depends on the secret.
 #[derive(Debug, Clone)]
-enum ShardPrograms {
-    /// Fig. 8 single-binary attack (train → flush → victim → probe).
-    Pht { attack: Arc<DecodedProgram> },
-    /// §4.4 BTB variant: trained victim plus the attacker's probe;
-    /// `slot_addr` is the victim's jump-table slot the unit flushes.
-    Btb { victim: Arc<DecodedProgram>, probe: Arc<DecodedProgram>, slot_addr: u64 },
-    /// §4.4 RSB variant: victim plus the attacker's probe.
-    Rsb { victim: Arc<DecodedProgram>, probe: Arc<DecodedProgram> },
-}
-
-/// One shard's warmed parent machine plus its predecoded programs.
-///
-/// Everything secret-independent has already happened here; a unit is
-/// [`ShardSnapshot::run_forked`] — clone, plant, run, read back.
-#[derive(Debug, Clone)]
-pub struct ShardSnapshot {
-    session: Session,
-    programs: ShardPrograms,
-    layout: AttackLayout,
+struct UnitSteps {
+    /// The attacker's probe program, run after the victim (BTB/RSB); the
+    /// PHT attack is one program that probes itself.
+    probe: Option<Arc<DecodedProgram>>,
+    secret_addr: u64,
     max_cycles: u64,
+    /// Cycles of the victim's budget the snapshot has already simulated.
+    used: u64,
     label: String,
 }
 
+/// One shard's warmed parent machine, stopped just before the victim's
+/// first read of the secret, plus what a unit does after it.
+///
+/// Everything secret-independent has already happened here; a unit is
+/// [`ShardSnapshot::run_forked`] — clone, write the secret, resume, read
+/// back.
+#[derive(Debug, Clone)]
+pub struct ShardSnapshot {
+    session: Session,
+    unit: UnitSteps,
+}
+
 impl ShardSnapshot {
-    /// Builds and warms the shard's parent machine: configuration
+    /// Builds and warms the shard's parent machine — configuration
     /// composed, campaign warm-up applied, programs built and predecoded,
-    /// attacker/victim text warmed, and (for BTB) the predictor trained.
+    /// attacker/victim text warmed, (for BTB) the predictor trained, the
+    /// unit prologue run on a placeholder secret — and simulates the
+    /// victim up to one cycle before its first read of the secret byte.
     pub fn prepare(spec: &CampaignSpec, shard: &ShardSpec) -> ShardSnapshot {
+        ShardSnapshot::build(spec, shard, true)
+    }
+
+    fn build(spec: &CampaignSpec, shard: &ShardSpec, run_ahead: bool) -> ShardSnapshot {
         let layout = campaign_layout(spec);
         let mut session =
             Session::builder().config(shard_config(spec, shard)).layout(layout).build();
         for w in &spec.warm {
             session.warm(w.addr, w.len);
         }
-        let programs = match shard.gadget {
+        let (victim, probe) = match shard.gadget {
             GadgetKind::Pht => {
                 let cfg = PocConfig {
                     layout,
@@ -125,7 +151,8 @@ impl ShardSnapshot {
                 };
                 let program = build_pht_program(&cfg);
                 session.warm_text(&program);
-                ShardPrograms::Pht { attack: Arc::new(DecodedProgram::new(program)) }
+                session.plant(&layout, 0);
+                (program, None)
             }
             GadgetKind::Btb => {
                 let victim = build_btb_victim(&layout, shard.nop_slide as usize);
@@ -144,29 +171,38 @@ impl ShardSnapshot {
                 // discharge it so unit health checks see units only.
                 session.acknowledge_non_halt();
                 session.warm_text(&victim);
-                let probe = gadget::build_probe_program(&layout);
-                ShardPrograms::Btb {
-                    victim: Arc::new(DecodedProgram::new(victim)),
-                    probe: Arc::new(DecodedProgram::new(probe)),
-                    slot_addr,
-                }
+                session.plant(&layout, 0);
+                // Evict the victim's jump-table slot, so the victim enters
+                // runahead and fetches down the trained BTB path.
+                session.flush(slot_addr);
+                (victim, Some(gadget::build_probe_program(&layout)))
             }
             GadgetKind::Rsb => {
                 let victim = build_rsb_victim(&layout, shard.nop_slide as usize);
                 session.warm_text(&victim);
-                let probe = gadget::build_probe_program(&layout);
-                ShardPrograms::Rsb {
-                    victim: Arc::new(DecodedProgram::new(victim)),
-                    probe: Arc::new(DecodedProgram::new(probe)),
-                }
+                session.plant(&layout, 0);
+                // D holds 0 so that architecturally F = benign.
+                session.write_value(layout.bound_addr, 8, 0);
+                session.warm(layout.bound_addr, 8);
+                (victim, Some(gadget::build_probe_program(&layout)))
             }
+        };
+        session.reset_stats();
+        session.load_predecoded(Arc::new(DecodedProgram::new(victim)));
+        let used = if run_ahead {
+            run_to_first_secret_read(&mut session, layout.secret_addr, spec.max_cycles)
+        } else {
+            0
         };
         ShardSnapshot {
             session,
-            programs,
-            layout,
-            max_cycles: spec.max_cycles,
-            label: shard.label(),
+            unit: UnitSteps {
+                probe: probe.map(|p| Arc::new(DecodedProgram::new(p))),
+                secret_addr: layout.secret_addr,
+                max_cycles: spec.max_cycles,
+                used,
+                label: shard.label(),
+            },
         }
     }
 
@@ -181,67 +217,73 @@ impl ShardSnapshot {
         secret: u8,
         token: Option<CancelToken>,
     ) -> Result<UnitResult, RunError> {
-        self.run_on(self.session.clone(), secret, token)
+        self.unit.run(self.session.clone(), secret, token)
     }
 
-    /// Runs one unit on the snapshot itself, consuming it — the fresh
-    /// (never-forked) control path for equivalence tests and the perf
-    /// baseline.
+    /// Runs one unit on the snapshot's own session, moved out of the
+    /// snapshot rather than cloned — the never-forked path
+    /// [`run_unit_fresh`] takes.
     pub fn run_consuming(
         self,
         secret: u8,
         token: Option<CancelToken>,
     ) -> Result<UnitResult, RunError> {
-        let session = self.session.clone();
-        self.run_on(session, secret, token)
+        self.unit.run(self.session, secret, token)
     }
+}
 
-    fn run_on(
+/// Simulates the loaded victim up to one cycle before its first read of
+/// the byte at `secret_addr` (or to its halt, if it halts without one)
+/// and returns the cycles spent. A discovery run on a throwaway clone,
+/// with a read watch on the byte, finds that cycle; a victim that neither
+/// reads the secret nor halts within `budget` is not run at all.
+fn run_to_first_secret_read(session: &mut Session, secret_addr: u64, budget: u64) -> u64 {
+    let start = session.core().cycle();
+    let mut discovery = session.clone();
+    let core = discovery.core_mut();
+    core.mem_mut().watch_reads(secret_addr, secret_addr + 1);
+    core.run_to(start.saturating_add(budget));
+    let stop = match core.mem().first_watched_read() {
+        Some(read) => read - 1,
+        None if core.is_halted() => core.cycle(),
+        None => return 0,
+    };
+    session.core_mut().run_to(stop);
+    session.core().cycle() - start
+}
+
+impl UnitSteps {
+    /// One unit on `session` (a fork, or the consumed snapshot): write the
+    /// secret, resume the victim with the rest of its budget, run the
+    /// probe where the gadget has one, read the verdict back.
+    fn run(
         &self,
         mut session: Session,
         secret: u8,
         token: Option<CancelToken>,
     ) -> Result<UnitResult, RunError> {
         session.machine_mut().set_cancel_token(token);
-        session.plant(&self.layout, secret);
-        let (leaked, runahead_entries, inv_branches) = match &self.programs {
-            ShardPrograms::Pht { attack } => {
-                session.reset_stats();
-                session.run_predecoded(attack.clone(), self.max_cycles);
-                let out = session.outcome_with(secret, DEFAULT_THRESHOLD, &[0]);
-                (out.leaked, out.runahead_entries, out.inv_branches)
-            }
-            ShardPrograms::Btb { victim, probe, slot_addr } => {
-                // Evict the victim's jump-table slot, then let the victim
-                // enter runahead and fetch down the trained BTB path.
-                session.flush(*slot_addr);
-                session.reset_stats();
-                session.run_predecoded(victim.clone(), self.max_cycles);
-                let runahead = session.stats().runahead_entries;
-                let inv = session.stats().inv_unresolved_branches;
-                session.run_predecoded(probe.clone(), self.max_cycles);
-                let leaked = session.probe_timings().leaked_byte(DEFAULT_THRESHOLD, &[0]);
-                (leaked, runahead, inv)
-            }
-            ShardPrograms::Rsb { victim, probe } => {
-                // D holds 0 so that architecturally F = benign.
-                session.write_value(self.layout.bound_addr, 8, 0);
-                session.warm(self.layout.bound_addr, 8);
-                session.reset_stats();
-                session.run_predecoded(victim.clone(), self.max_cycles);
-                let runahead = session.stats().runahead_entries;
-                let inv = session.stats().inv_unresolved_branches;
-                session.run_predecoded(probe.clone(), self.max_cycles);
-                let leaked = session.probe_timings().leaked_byte(DEFAULT_THRESHOLD, &[0]);
-                (leaked, runahead, inv)
-            }
-        };
+        session.write_bytes(self.secret_addr, &[secret]);
+        session.run(self.max_cycles - self.used);
+        let stats = session.stats();
+        let (runahead_entries, inv_branches) =
+            (stats.runahead_entries, stats.inv_unresolved_branches);
+        if let Some(probe) = &self.probe {
+            session.run_predecoded(probe.clone(), self.max_cycles);
+        }
+        let leaked = session.probe_timings().leaked_byte(DEFAULT_THRESHOLD, &[0]);
         let committed = session.stats().committed;
         let what = || format!("pool shard {} secret {secret}", self.label);
         match session.first_non_halt() {
             None => {}
-            Some((RunExit::CycleLimit, budget)) => {
-                return Err(RunError::CycleBudgetExceeded { what: what(), budget, committed });
+            // Every program ran on the spec's budget; the victim's was
+            // only split between the snapshot and the unit.
+            Some((RunExit::CycleLimit, _)) => {
+                return Err(RunError::CycleBudgetExceeded {
+                    what: what(),
+                    budget: self.max_cycles,
+                    committed,
+                });
             }
             Some((RunExit::Cancelled, _)) => {
                 return Err(RunError::Cancelled { what: what(), committed });
@@ -303,14 +345,15 @@ pub fn run_shard(
     Ok(stats)
 }
 
-/// Runs one unit on a fresh, never-forked snapshot — the control the
-/// fork path is measured and verified against.
+/// Runs one unit on a fresh, never-forked snapshot that has not run the
+/// victim ahead — the control the fork path is measured and verified
+/// against.
 pub fn run_unit_fresh(
     spec: &CampaignSpec,
     shard: &ShardSpec,
     secret: u8,
 ) -> Result<UnitResult, RunError> {
-    ShardSnapshot::prepare(spec, shard).run_consuming(secret, None)
+    ShardSnapshot::build(spec, shard, false).run_consuming(secret, None)
 }
 
 /// Runs a whole campaign with fork-based pooling under passive
@@ -338,19 +381,59 @@ mod tests {
 
     #[test]
     fn fork_equals_fresh_bit_for_bit_across_gadgets() {
-        let spec = small_spec(vec![]);
-        for cell in [
-            shard(GadgetKind::Pht, PlanPolicy::Runahead, 0),
-            shard(GadgetKind::Pht, PlanPolicy::Runahead, 300),
+        // Every paper-matrix shard plus the no-slide BTB and RSB variants,
+        // with secrets at both ends of the byte range: the snapshot's
+        // simulated prefix must be invisible.
+        let spec = CampaignSpec::paper_matrix();
+        let extra = [
             shard(GadgetKind::Btb, PlanPolicy::Runahead, 0),
             shard(GadgetKind::Rsb, PlanPolicy::Runahead, 0),
-        ] {
-            let snapshot = ShardSnapshot::prepare(&spec, &cell);
-            for &secret in &spec.secrets {
+        ];
+        for cell in spec.shards.iter().chain(&extra) {
+            let snapshot = ShardSnapshot::prepare(&spec, cell);
+            for secret in [1, 86, 127, 200, 201, 255] {
                 let forked = snapshot.run_forked(secret, None).expect("forked unit runs");
-                let fresh = run_unit_fresh(&spec, &cell, secret).expect("fresh unit runs");
+                let fresh = run_unit_fresh(&spec, cell, secret).expect("fresh unit runs");
                 assert_eq!(forked, fresh, "{} secret {secret}: fork must be exact", cell.label());
             }
+        }
+    }
+
+    #[test]
+    fn forked_errors_equal_fresh_errors_at_every_budget() {
+        // Budgets that run out before, around and after the first secret
+        // read: the unit's share of the budget must end where one whole
+        // run would, and the error must name the spec's budget.
+        for budget in [40, 1000, 5000, 20_000, 50_000] {
+            let spec = CampaignSpec { max_cycles: budget, ..CampaignSpec::paper_matrix() };
+            for cell in &spec.shards {
+                let forked = ShardSnapshot::prepare(&spec, cell).run_forked(86, None);
+                let fresh = run_unit_fresh(&spec, cell, 86);
+                assert_eq!(forked, fresh, "{} budget {budget}", cell.label());
+                if let Err(RunError::CycleBudgetExceeded { budget: reported, .. }) = forked {
+                    assert_eq!(reported, budget, "{}", cell.label());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_stops_one_cycle_before_the_first_secret_read() {
+        let spec = CampaignSpec::paper_matrix();
+        for cell in &spec.shards {
+            let snapshot = ShardSnapshot::prepare(&spec, cell);
+            let secret_addr = snapshot.unit.secret_addr;
+            let mut next = snapshot.session().clone();
+            let core = next.core_mut();
+            if core.is_halted() {
+                // A victim that never reads the secret ran to its halt.
+                assert!(snapshot.unit.used > 0, "{}", cell.label());
+                continue;
+            }
+            core.mem_mut().watch_reads(secret_addr, secret_addr + 1);
+            let at = core.cycle() + 1;
+            core.run_to(at);
+            assert_eq!(core.mem().first_watched_read(), Some(at), "{}", cell.label());
         }
     }
 

@@ -413,7 +413,31 @@ impl<O: PipelineObserver> Core<O> {
         max_cycles: u64,
         governor: &G,
     ) -> RunExit {
-        let limit = self.cycle.saturating_add(max_cycles);
+        let exit = self.run_loop(self.cycle.saturating_add(max_cycles), governor);
+        // Land any fills that completed during the run so host-side
+        // residency checks see them. A halted program's last loads may
+        // still be travelling; drain exactly to the latest pending fill
+        // (the MSHR view of the event queue) rather than a fixed slack.
+        let settle =
+            self.mem.latest_inflight_completion().map_or(self.cycle, |at| at.max(self.cycle));
+        self.mem.drain_completed(settle);
+        exit
+    }
+
+    /// Runs until cycle `stop` (absolute), `halt`, or a wedge — the
+    /// [`Core::run`] loop without its end-of-run settle, so the machine is
+    /// left exactly as stepping it cycle by cycle would leave it, with
+    /// in-flight fills still in flight. A later `run(rest)` then continues
+    /// as if the two calls had been one `run`: that is how a campaign
+    /// snapshot stops just short of a unit's first secret-dependent cycle.
+    /// Returns [`RunExit::CycleLimit`] when it reached `stop`.
+    pub fn run_to(&mut self, stop: u64) -> RunExit {
+        self.run_loop(stop, &crate::cancel::NeverCancel)
+    }
+
+    /// The run loop: steps (fast-forwarding quiet stretches, never past
+    /// `limit`) until `limit`, `halt`, a wedge or a governor stop.
+    fn run_loop<G: crate::cancel::RunGovernor>(&mut self, limit: u64, governor: &G) -> RunExit {
         let mut exit = RunExit::CycleLimit;
         let mut next_check = self.cycle.saturating_add(crate::cancel::CHECK_INTERVAL_CYCLES);
         while !self.halted && self.cycle < limit {
@@ -443,13 +467,6 @@ impl<O: PipelineObserver> Core<O> {
         if self.halted {
             exit = RunExit::Halted;
         }
-        // Land any fills that completed during the run so host-side
-        // residency checks see them. A halted program's last loads may
-        // still be travelling; drain exactly to the latest pending fill
-        // (the MSHR view of the event queue) rather than a fixed slack.
-        let settle =
-            self.mem.latest_inflight_completion().map_or(self.cycle, |at| at.max(self.cycle));
-        self.mem.drain_completed(settle);
         exit
     }
 
@@ -788,7 +805,7 @@ impl<O: PipelineObserver> Core<O> {
             // that committed in the meantime are visible.
             if e.is_load && !e.inv && e.load_level.is_some() {
                 if let Some(addr) = e.load_addr {
-                    e.result = self.mem.read_data(addr, u64::from(e.meta.mem_width));
+                    e.result = self.mem.load_data(addr, u64::from(e.meta.mem_width), now);
                 }
             }
             let is_ret = e.meta.ctrl == CtrlClass::Return;
@@ -1667,7 +1684,7 @@ impl<O: PipelineObserver> Core<O> {
                             tainted: taint != 0,
                         });
                     }
-                    let value = self.mem.read_data(addr, width);
+                    let value = self.mem.load_data(addr, width, now);
                     return self.complete_load(
                         seq,
                         addr,

@@ -227,10 +227,12 @@ struct PoolResult {
 
 /// Times fork-based pooling against fresh per-session builds on one
 /// matrix shard. The fork path pays `ShardSnapshot::prepare` (session
-/// build, cache warm-up, program predecode, BTB training where relevant)
-/// once and is charged for it, then forks a copy-on-write session per
-/// unit; the fresh path repeats the whole build per unit — exactly what a
-/// campaign without the pool would do. Best wall clock over `repeats`;
+/// build, cache warm-up, program predecode, BTB training where relevant,
+/// and the victim simulated up to its first secret read) once and is
+/// charged for it, then forks a copy-on-write session per unit; the fresh
+/// path repeats the whole build per unit and runs the unit from the
+/// victim's first cycle on that session itself, never cloned — exactly
+/// what a campaign without the pool would do. Best wall clock over `repeats`;
 /// every unit's leak is asserted so a silently-broken attack can never
 /// post a throughput number.
 ///

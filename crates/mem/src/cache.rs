@@ -8,7 +8,9 @@
 //! within a set) with one validity bitmask per set, so the per-access path
 //! is a masked index plus a short scan of a cache-resident slice — no
 //! nested `Vec<Vec<Option<_>>>` pointer chasing on the simulator's hottest
-//! loop.
+//! loop. Dirty bits live in a bitmap indexed by the same flat slot, which
+//! keeps a line at 16 bytes: the line arrays are most of what a forked
+//! machine copies (the 4 MiB L3's is 1 MiB).
 
 use core::fmt;
 
@@ -51,11 +53,11 @@ impl CacheConfig {
     }
 }
 
-/// One way of one set. Meaningful only when the set's validity bit is set.
+/// One way of one set. Meaningful only when the set's validity bit is set;
+/// its dirty bit lives in the cache's dirty bitmap.
 #[derive(Debug, Clone, Copy, Default)]
 struct Line {
     tag: u64,
-    dirty: bool,
     last_used: u64,
 }
 
@@ -90,6 +92,9 @@ pub struct Cache {
     lines: Box<[Line]>,
     /// One validity bitmask per set (bit `w` = way `w` holds a line).
     valid: Box<[u64]>,
+    /// One dirty bit per slot of `lines` (bit `i % 64` of word `i / 64`),
+    /// meaningful only under the matching validity bit.
+    dirty: Box<[u64]>,
     ways: usize,
     set_mask: u64,
     set_shift: u32,
@@ -104,6 +109,7 @@ impl Cache {
         Cache {
             lines: vec![Line::default(); (sets as usize) * ways].into_boxed_slice(),
             valid: vec![0u64; sets as usize].into_boxed_slice(),
+            dirty: vec![0u64; (sets as usize * ways).div_ceil(64)].into_boxed_slice(),
             ways,
             set_mask: sets - 1,
             set_shift: sets.trailing_zeros(),
@@ -125,6 +131,22 @@ impl Cache {
     #[inline]
     fn set_and_tag(&self, line: u64) -> (usize, u64) {
         ((line & self.set_mask) as usize, line >> self.set_shift)
+    }
+
+    /// Sets or clears the dirty bit of a slot.
+    #[inline]
+    fn set_dirty(&mut self, slot: usize, dirty: bool) {
+        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+        if dirty {
+            self.dirty[word] |= bit;
+        } else {
+            self.dirty[word] &= !bit;
+        }
+    }
+
+    #[inline]
+    fn is_dirty(&self, slot: usize) -> bool {
+        self.dirty[slot / 64] & (1u64 << (slot % 64)) != 0
     }
 
     #[inline]
@@ -185,14 +207,14 @@ impl Cache {
     /// Marks a resident slot dirty (store hit on a memoized line);
     /// equivalent to [`Cache::mark_dirty`] on its line.
     pub fn mark_dirty_slot(&mut self, slot: usize) {
-        self.lines[slot].dirty = true;
+        self.set_dirty(slot, true);
     }
 
     /// Marks the line dirty if resident (store hit). Returns whether it hit.
     pub fn mark_dirty(&mut self, line: u64) -> bool {
         let (set, tag) = self.set_and_tag(line);
         if let Some(way) = self.find(set, tag) {
-            self.lines[set * self.ways + way].dirty = true;
+            self.set_dirty(set * self.ways + way, true);
             true
         } else {
             false
@@ -207,17 +229,19 @@ impl Cache {
         let base = set * self.ways;
         // Already resident: refresh.
         if let Some(way) = self.find(set, tag) {
-            let l = &mut self.lines[base + way];
-            l.last_used = stamp;
-            l.dirty |= dirty;
+            self.lines[base + way].last_used = stamp;
+            if dirty {
+                self.set_dirty(base + way, true);
+            }
             return Evicted::None;
         }
         // Free way available (lowest-index first, as before).
         let occupancy = self.valid[set];
         let free = (!occupancy).trailing_zeros() as usize;
         if free < self.ways {
-            self.lines[base + free] = Line { tag, dirty, last_used: stamp };
+            self.lines[base + free] = Line { tag, last_used: stamp };
             self.valid[set] |= 1u64 << free;
+            self.set_dirty(base + free, dirty);
             return Evicted::None;
         }
         // Evict true-LRU.
@@ -230,12 +254,12 @@ impl Cache {
                 victim_way = way;
             }
         }
-        let victim = core::mem::replace(
-            &mut self.lines[base + victim_way],
-            Line { tag, dirty, last_used: stamp },
-        );
+        let victim =
+            core::mem::replace(&mut self.lines[base + victim_way], Line { tag, last_used: stamp });
+        let victim_dirty = self.is_dirty(base + victim_way);
+        self.set_dirty(base + victim_way, dirty);
         let victim_line = (victim.tag << self.set_shift) | set as u64;
-        if victim.dirty {
+        if victim_dirty {
             Evicted::Dirty(victim_line)
         } else {
             Evicted::Clean(victim_line)
@@ -372,6 +396,23 @@ mod tests {
         assert_eq!(c.fill(8, 2, false), Evicted::None, "freed way must be reused");
         assert!(c.probe(4));
         assert!(c.probe(8));
+    }
+
+    #[test]
+    fn invalidated_dirty_way_refilled_clean_evicts_clean() {
+        let mut c = small();
+        c.fill(0, 0, true);
+        c.invalidate(0);
+        // Line 4 reuses the freed (formerly dirty) way, clean.
+        assert_eq!(c.fill(4, 1, false), Evicted::None);
+        c.fill(8, 2, false);
+        c.access(8, 3);
+        assert_eq!(c.fill(12, 4, false), Evicted::Clean(4), "a stale dirty bit must not survive");
+    }
+
+    #[test]
+    fn lines_are_sixteen_bytes() {
+        assert_eq!(core::mem::size_of::<Line>(), 16);
     }
 
     #[test]

@@ -158,6 +158,18 @@ pub struct MemHierarchy {
     l1i_gen: u64,
     data: BackingStore,
     stats: MemStats,
+    /// Armed read watch: the byte range `[lo, hi)` and the cycle of the
+    /// first simulated load that read any byte of it.
+    watch: Option<ReadWatch>,
+}
+
+/// A byte range whose first simulated read is recorded (see
+/// [`MemHierarchy::watch_reads`]).
+#[derive(Debug, Clone, Copy)]
+struct ReadWatch {
+    lo: u64,
+    hi: u64,
+    first: Option<u64>,
 }
 
 impl MemHierarchy {
@@ -179,6 +191,7 @@ impl MemHierarchy {
             l1i_gen: 0,
             data: BackingStore::new(),
             stats: MemStats::default(),
+            watch: None,
         }
     }
 
@@ -464,6 +477,34 @@ impl MemHierarchy {
         self.data.read(addr, width)
     }
 
+    /// Reads `width` bytes of functional data on behalf of a simulated
+    /// load at cycle `now` — the one read path the core's loads take, and
+    /// the only one that trips the read watch. Otherwise identical to
+    /// [`MemHierarchy::read_data`].
+    #[inline]
+    pub fn load_data(&mut self, addr: u64, width: u64, now: u64) -> u64 {
+        if let Some(w) = &mut self.watch {
+            if w.first.is_none() && addr < w.hi && addr.saturating_add(width) > w.lo {
+                w.first = Some(now);
+            }
+        }
+        self.data.read(addr, width)
+    }
+
+    /// Arms a read watch on the bytes `[lo, hi)`. From then on,
+    /// [`MemHierarchy::first_watched_read`] reports the cycle of the first
+    /// simulated load ([`MemHierarchy::load_data`]) that read any watched
+    /// byte; host reads never trip it.
+    pub fn watch_reads(&mut self, lo: u64, hi: u64) {
+        self.watch = Some(ReadWatch { lo, hi, first: None });
+    }
+
+    /// The cycle of the first simulated load that read a watched byte
+    /// since [`MemHierarchy::watch_reads`] armed the watch.
+    pub fn first_watched_read(&self) -> Option<u64> {
+        self.watch.and_then(|w| w.first)
+    }
+
     /// Writes `width` bytes of functional data (timing-free).
     pub fn write_data(&mut self, addr: u64, width: u64, value: u64) {
         self.data.write(addr, width, value);
@@ -681,6 +722,23 @@ mod tests {
         assert_eq!(m.next_inflight_completion(), None);
         assert_eq!(m.residency(0x1000), HitLevel::L1);
         assert_eq!(m.residency(0x2000), HitLevel::L1);
+    }
+
+    #[test]
+    fn read_watch_trips_on_overlapping_simulated_loads_only() {
+        let mut m = mem();
+        m.watch_reads(0x2000, 0x2001);
+        // Host reads and neighbouring simulated loads never trip it.
+        m.read_data(0x2000, 8);
+        m.read_bytes(0x1ff8, 16);
+        m.load_data(0x1ff8, 8, 3);
+        m.load_data(0x2001, 8, 4);
+        assert_eq!(m.first_watched_read(), None);
+        // An 8-byte load whose last byte is the watched one trips it, and
+        // the first trip sticks.
+        m.load_data(0x1ff9, 8, 5);
+        m.load_data(0x2000, 1, 6);
+        assert_eq!(m.first_watched_read(), Some(5));
     }
 
     #[test]

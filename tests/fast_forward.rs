@@ -3,9 +3,11 @@
 //! *bit-identical* to the naive one-cycle-at-a-time loop — same cycle
 //! count, same retired instructions, same full statistics block, same
 //! architectural registers — and the event-driven scheduler must reach the
-//! same decisions as the retired scan-based one (`sched_check`).
+//! same decisions as the retired scan-based one (`sched_check`). A run
+//! split at any cycle by `Core::run_to` must equal the unsplit run.
 
-use specrun::attack::{run_pht_poc, PocConfig};
+use proptest::prelude::*;
+use specrun::attack::{build_pht_program, run_pht_poc, PocConfig};
 use specrun::session::Session;
 use specrun_cpu::{Core, CpuConfig, CpuStats, RunExit};
 use specrun_isa::IntReg;
@@ -161,5 +163,66 @@ fn predecode_check_validates_kernels() {
                 w.name
             );
         }
+    }
+}
+
+/// Machines loaded and ready to run — the Fig. 9 PoC on the runahead
+/// machine and two kernels — each with the byte addresses whose cache
+/// residency its result is read from (the PoC's probe lines, the kernels'
+/// data).
+fn split_subjects(fast_forward: bool) -> Vec<(&'static str, Core, Vec<u64>)> {
+    let cfg = CpuConfig { fast_forward, ..CpuConfig::default() };
+    let poc = PocConfig::default();
+    let mut session = Session::builder().config(cfg.clone()).build();
+    session.plant(&poc.layout, poc.secret);
+    let program = build_pht_program(&poc);
+    session.warm_text(&program);
+    session.load(&program);
+    let probes = (0..poc.layout.probe_entries).map(|v| poc.layout.probe_addr(v)).collect();
+    let mut subjects = vec![("pht_poc", session.core().clone(), probes)];
+    for w in [kernels::mcf(60), kernels::pointer_chase(30)] {
+        let mut core = Core::new(cfg.clone());
+        for (addr, bytes) in &w.setup {
+            core.mem_mut().write_bytes(*addr, bytes);
+        }
+        core.load_program(&w.program);
+        let data = w
+            .setup
+            .iter()
+            .flat_map(|(addr, bytes)| (*addr..*addr + bytes.len() as u64).step_by(64))
+            .collect();
+        subjects.push((w.name, core, data));
+    }
+    subjects
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// `run_to(k)` then `run(rest)` is one `run`: same statistics, same
+    /// architectural state, same cache residency, whether the split lands
+    /// in a busy stretch or a fast-forwarded one.
+    #[test]
+    fn run_to_then_run_equals_one_run(
+        fast_forward in any::<bool>(),
+        which in 0usize..3,
+        permille in 0u64..1000,
+    ) {
+        let (name, machine, addrs) = split_subjects(fast_forward).swap_remove(which);
+        let budget = 100_000_000;
+        let start = machine.cycle();
+        let mut whole = machine.clone();
+        prop_assert_eq!(whole.run(budget), RunExit::Halted, "{} must halt", name);
+        let stop = start + (whole.cycle() - start) * permille / 1000;
+        let mut split = machine;
+        prop_assert_eq!(split.run_to(stop), RunExit::CycleLimit);
+        prop_assert_eq!(split.cycle(), stop, "run_to stops exactly at its cycle");
+        prop_assert_eq!(split.run(budget - (stop - start)), RunExit::Halted);
+        prop_assert_eq!(split.stats(), whole.stats(), "{} split at {}", name, stop);
+        prop_assert_eq!(split.arch_fingerprint(), whole.arch_fingerprint());
+        let residency = |core: &Core| -> Vec<_> {
+            addrs.iter().map(|&a| core.mem().residency(a)).collect()
+        };
+        prop_assert_eq!(residency(&split), residency(&whole), "{} split at {}", name, stop);
     }
 }
