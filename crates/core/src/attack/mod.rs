@@ -11,6 +11,7 @@ pub mod variants;
 
 pub use covert::{ProbeTimings, DEFAULT_THRESHOLD};
 pub use layout::AttackLayout;
-pub use poc::{build_pht_program, plant_data, run_pht_poc, PocConfig, PocOutcome};
+pub use poc::{build_pht_program, check_halted, run_poc, Attack, PocConfig, PocOutcome};
+pub use specrun_workloads::plan::GadgetKind;
 pub use sweep::{run_pht_sweep, SweepConfig, SweepReport, SweepTrial};
-pub use variants::{build_btb_victim, build_rsb_victim, run_btb_poc, run_rsb_poc};
+pub use variants::{build_btb_victim, build_rsb_victim};

@@ -1,20 +1,18 @@
 //! SpectreBTB and SpectreRSB nested inside runahead (paper §4.4, Fig. 4).
 //!
-//! Both variants are *multi-program* attacks on one [`Session`]: the
-//! attacker process trains or poisons a shared predictor structure from its
-//! own address space, the victim process runs and leaks during runahead, and
-//! the attacker probes afterwards. The predictor structures are untagged
-//! (and the BTB partially tagged), so training transfers — exactly the
-//! paper's threat-model assumption for cross-process Spectre variants.
+//! Both variants are *multi-program* attacks on one
+//! [`Session`](crate::session::Session): the attacker process trains or
+//! poisons a shared predictor structure from its own address space, the
+//! victim process runs and leaks during runahead, and the attacker probes
+//! afterwards. The predictor structures are untagged (and the BTB
+//! partially tagged), so training transfers — exactly the paper's
+//! threat-model assumption for cross-process Spectre variants. This module
+//! builds the programs; [`run_poc`](crate::attack::run_poc) runs them.
 
 use specrun_isa::{IntReg, Program, ProgramBuilder};
 
-use specrun_cpu::probe::PipelineObserver;
-
 use crate::attack::gadget;
 use crate::attack::layout::AttackLayout;
-use crate::attack::poc::{PocConfig, PocOutcome};
-use crate::session::Session;
 
 fn r(i: u8) -> IntReg {
     IntReg::new(i).unwrap()
@@ -78,56 +76,7 @@ pub fn build_btb_trainer(victim: &Program) -> Program {
     b.nop();
     b.jr(r(1), 0); // at trainer_jr_pc: congruent with the victim's jr
     b.def_sym("landing", gadget_pc);
-    // Place a halt at the landing address (the trainer architecturally
-    // jumps there, in its own image).
-    // The assembler needs instructions up to that address; emit the halt at
-    // the landing label via a second text island.
     b.build().expect("BTB trainer is closed")
-}
-
-/// Builds the halting landing-pad program placed at the gadget address for
-/// the trainer's architectural jump target.
-fn build_btb_trainer_with_landing(victim: &Program) -> (Program, u64) {
-    let gadget_pc = victim.symbol("gadget").expect("victim has a gadget");
-    (build_btb_trainer(victim), gadget_pc)
-}
-
-/// Runs the SpectreBTB-in-runahead variant end to end.
-pub fn run_btb_poc<O: PipelineObserver>(session: &mut Session<O>, cfg: &PocConfig) -> PocOutcome {
-    let layout = cfg.layout;
-    // Plant data: D+64 holds the benign target; secret and arrays as usual.
-    crate::attack::poc::plant_data(session, cfg);
-    let victim = build_btb_victim(&layout, cfg.nop_slide);
-    let benign = victim.symbol("benign").expect("benign label");
-    session.write_value(layout.bound_addr + 64, 8, benign);
-    session.warm(layout.bound_addr + 64, 8);
-
-    // ① Train the BTB from the attacker's own (congruent) address space.
-    let (trainer, _gadget_pc) = build_btb_trainer_with_landing(&victim);
-    for _ in 0..4 {
-        session.run_program(&trainer, 100_000);
-    }
-    // The trainer's normal exit is Wedged: it architecturally jumps to the
-    // gadget address, which exists only in the victim's image. Discharge
-    // the sticky record so the end-of-run health check reports the victim
-    // and probe only.
-    session.acknowledge_non_halt();
-    // ② Evict the victim's jump-table slot (co-resident clflush).
-    session.flush(layout.bound_addr + 64);
-    // ③ Victim executes: enters runahead on the slot load, the INV jr never
-    // resolves, fetch follows the trained BTB entry into the gadget. The
-    // victim's code is steady-state warm.
-    session.warm_text(&victim);
-    session.reset_stats();
-    session.run_program(&victim, cfg.max_cycles);
-    let runahead_entries = session.stats().runahead_entries;
-    let inv_branches = session.stats().inv_unresolved_branches;
-    // ④ Attacker probes from her own process.
-    let probe = gadget::build_probe_program(&layout);
-    session.run_program(&probe, cfg.max_cycles);
-    let timings = session.probe_timings();
-    let leaked = timings.leaked_byte(cfg.threshold, &[0]);
-    PocOutcome { leaked, expected: cfg.secret, runahead_entries, inv_branches, timings }
 }
 
 /// Builds the victim program for the RSB variant (Fig. 4b, direct
@@ -154,26 +103,6 @@ pub fn build_rsb_victim(layout: &AttackLayout, nop_slide: usize) -> Program {
     b.sd(r(8), IntReg::SP, 0); // overwrite the stored return address
     b.ret(); // pops INV data during runahead → never resolves
     b.build().expect("RSB victim is closed")
-}
-
-/// Runs the SpectreRSB-in-runahead variant end to end.
-pub fn run_rsb_poc<O: PipelineObserver>(session: &mut Session<O>, cfg: &PocConfig) -> PocOutcome {
-    let layout = cfg.layout;
-    crate::attack::poc::plant_data(session, cfg);
-    // D holds 0 so that architecturally F = benign.
-    session.write_value(layout.bound_addr, 8, 0);
-    session.warm(layout.bound_addr, 8);
-    let victim = build_rsb_victim(&layout, cfg.nop_slide);
-    session.warm_text(&victim);
-    session.reset_stats();
-    session.run_program(&victim, cfg.max_cycles);
-    let runahead_entries = session.stats().runahead_entries;
-    let inv_branches = session.stats().inv_unresolved_branches;
-    let probe = gadget::build_probe_program(&layout);
-    session.run_program(&probe, cfg.max_cycles);
-    let timings = session.probe_timings();
-    let leaked = timings.leaked_byte(cfg.threshold, &[0]);
-    PocOutcome { leaked, expected: cfg.secret, runahead_entries, inv_branches, timings }
 }
 
 #[cfg(test)]

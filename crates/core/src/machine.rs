@@ -27,7 +27,7 @@ use specrun_mem::HitLevel;
 pub struct Machine<O: PipelineObserver = NoopObserver> {
     core: Core<O>,
     last_exit: Option<RunExit>,
-    first_non_halt: Option<(RunExit, u64)>,
+    first_non_halt: Option<RunExit>,
     cancel: Option<CancelToken>,
 }
 
@@ -72,7 +72,7 @@ impl<O: PipelineObserver> Machine<O> {
         };
         self.last_exit = Some(exit);
         if exit != RunExit::Halted && self.first_non_halt.is_none() {
-            self.first_non_halt = Some((exit, max_cycles));
+            self.first_non_halt = Some(exit);
         }
         exit
     }
@@ -82,12 +82,14 @@ impl<O: PipelineObserver> Machine<O> {
         self.last_exit
     }
 
-    /// The first non-halting exit any run on this machine produced, with
-    /// the cycle budget that run was given — sticky across program
-    /// switches. Multi-program experiments (trainer → victim → probe)
-    /// check this once at the end instead of plumbing every intermediate
-    /// [`RunExit`] through; `None` means every run halted cleanly.
-    pub fn first_non_halt(&self) -> Option<(RunExit, u64)> {
+    /// The first non-halting exit any run on this machine produced —
+    /// sticky across program switches. Multi-program experiments (trainer
+    /// → victim → probe) check this once at the end instead of plumbing
+    /// every intermediate [`RunExit`] through; `None` means every run
+    /// halted cleanly. The run's budget is not recorded: a victim resumed
+    /// on a fork runs on what is left of its budget, and the experiment,
+    /// not the run, knows the whole one.
+    pub fn first_non_halt(&self) -> Option<RunExit> {
         self.first_non_halt
     }
 
@@ -97,7 +99,7 @@ impl<O: PipelineObserver> Machine<O> {
     /// instruction in its own image, so `Wedged` is its expected exit —
     /// the experiment acknowledges the exit right after running them, and
     /// the end-of-run health check only sees genuine failures.
-    pub fn acknowledge_non_halt(&mut self) -> Option<(RunExit, u64)> {
+    pub fn acknowledge_non_halt(&mut self) -> Option<RunExit> {
         self.first_non_halt.take()
     }
 
@@ -240,13 +242,13 @@ mod tests {
         let spin = b.build().unwrap();
         assert_eq!(m.run_program(&spin, 64), RunExit::CycleLimit);
         assert_eq!(m.last_exit(), Some(RunExit::CycleLimit));
-        assert_eq!(m.first_non_halt(), Some((RunExit::CycleLimit, 64)));
+        assert_eq!(m.first_non_halt(), Some(RunExit::CycleLimit));
         // A later clean run updates last_exit but not the sticky record.
         let mut b = ProgramBuilder::new(0x100);
         b.halt();
         assert_eq!(m.run_program(&b.build().unwrap(), 1000), RunExit::Halted);
         assert_eq!(m.last_exit(), Some(RunExit::Halted));
-        assert_eq!(m.first_non_halt(), Some((RunExit::CycleLimit, 64)));
+        assert_eq!(m.first_non_halt(), Some(RunExit::CycleLimit));
     }
 
     #[test]
@@ -262,7 +264,7 @@ mod tests {
         let spin = b.build().unwrap();
         assert_eq!(m.run_program(&spin, 1_000_000), RunExit::Cancelled);
         assert!(token.beat_cycle() > 0, "the cancelling checkpoint published a heartbeat");
-        assert_eq!(m.first_non_halt(), Some((RunExit::Cancelled, 1_000_000)));
+        assert_eq!(m.first_non_halt(), Some(RunExit::Cancelled));
         m.set_cancel_token(None);
         m.acknowledge_non_halt();
         assert_eq!(m.run_program(&spin, 64), RunExit::CycleLimit, "detached runs are ungoverned");

@@ -64,6 +64,7 @@ mod tests {
             expected: 86,
             runahead_entries: 3,
             inv_branches: 1,
+            arch_fingerprint: 0,
         }
     }
 

@@ -6,15 +6,16 @@
 //! module owns the middle: mapping plan policies onto session
 //! [`Policy`]s, composing the machine configuration (policy first, then
 //! the fuzzed knobs — so a Secure plan's fuzzed SL geometry survives), and
-//! driving the right PoC flavour with the ground-truth observers attached.
+//! driving the plan's gadget through [`run_poc`] with the ground-truth
+//! observers attached.
 
 use specrun_cpu::probe::{CountingObserver, NoopObserver, PipelineEvent, PipelineObserver};
-use specrun_cpu::{CancelToken, CpuConfig, CpuStats, RunExit, RunaheadPolicy};
+use specrun_cpu::{CancelToken, CpuConfig, CpuStats, RunaheadPolicy};
 use specrun_trace::RecordingObserver;
 use specrun_workloads::harness::RunError;
-use specrun_workloads::plan::{GadgetKind, Plan, PlanPolicy};
+use specrun_workloads::plan::{KnobSpec, Plan, PlanLayout, PlanPolicy};
 
-use crate::attack::{run_btb_poc, run_pht_poc, run_rsb_poc, AttackLayout, PocConfig};
+use crate::attack::{check_halted, run_poc, AttackLayout, PocConfig};
 use crate::session::{leak_trace_for, Policy, Session};
 
 impl From<PlanPolicy> for Policy {
@@ -31,30 +32,41 @@ impl From<PlanPolicy> for Policy {
     }
 }
 
-/// The machine configuration a plan describes: Table 1, then the plan's
-/// policy, then its knobs (in that order — knobs refine the policy's
+/// The machine configuration a policy and knobs describe: Table 1, then
+/// the policy, then the knobs (in that order — knobs refine the policy's
 /// machine, and defense-only knobs are gated on the policy having armed
-/// the defense).
-pub fn config_for(plan: &Plan) -> CpuConfig {
+/// the defense). Plans and campaign shards both compose their machines
+/// here.
+pub fn machine_config(policy: PlanPolicy, knobs: &KnobSpec) -> CpuConfig {
     let mut cfg = CpuConfig::default();
-    Policy::from(plan.policy).apply(&mut cfg);
-    plan.knobs.apply(&mut cfg);
+    Policy::from(policy).apply(&mut cfg);
+    knobs.apply(&mut cfg);
     cfg
+}
+
+/// The machine configuration a plan describes ([`machine_config`]).
+pub fn config_for(plan: &Plan) -> CpuConfig {
+    machine_config(plan.policy, &plan.knobs)
+}
+
+impl From<&PlanLayout> for AttackLayout {
+    fn from(l: &PlanLayout) -> AttackLayout {
+        AttackLayout {
+            bound_addr: l.bound_addr,
+            bound_value: l.bound_value,
+            array1_base: l.array1_base,
+            secret_addr: l.secret_addr,
+            probe_base: l.probe_base,
+            probe_stride: l.probe_stride,
+            probe_entries: l.probe_entries,
+            results_base: l.results_base,
+        }
+    }
 }
 
 /// The attack layout a plan describes.
 pub fn layout_for(plan: &Plan) -> AttackLayout {
-    let l = &plan.layout;
-    AttackLayout {
-        bound_addr: l.bound_addr,
-        bound_value: l.bound_value,
-        array1_base: l.array1_base,
-        secret_addr: l.secret_addr,
-        probe_base: l.probe_base,
-        probe_stride: l.probe_stride,
-        probe_entries: l.probe_entries,
-        results_base: l.results_base,
-    }
+    AttackLayout::from(&plan.layout)
 }
 
 /// The PoC configuration a plan describes.
@@ -169,33 +181,11 @@ fn run_plan_with<X: PipelineObserver>(
         session.warm(w.addr, w.len);
     }
     let cfg = poc_config_for(plan);
-    let outcome = match plan.victim.gadget {
-        GadgetKind::Pht => run_pht_poc(&mut session, &cfg),
-        GadgetKind::Btb => run_btb_poc(&mut session, &cfg),
-        GadgetKind::Rsb => run_rsb_poc(&mut session, &cfg),
-    };
+    let outcome = run_poc(&mut session, plan.victim.gadget, &cfg);
+    check_halted(&session, cfg.max_cycles, || {
+        format!("plan {} ({:?} gadget)", plan.index, plan.victim.gadget)
+    })?;
     let stats = *session.stats();
-    let what = || format!("plan {} ({:?} gadget)", plan.index, plan.victim.gadget);
-    match session.first_non_halt() {
-        None => {}
-        Some((RunExit::CycleLimit, budget)) => {
-            return Err(RunError::CycleBudgetExceeded {
-                what: what(),
-                budget,
-                committed: stats.committed,
-            });
-        }
-        Some((RunExit::Cancelled, _)) => {
-            return Err(RunError::Cancelled { what: what(), committed: stats.committed });
-        }
-        Some((exit, _)) => {
-            return Err(RunError::NoHalt {
-                what: what(),
-                detail: format!("a program exited with {exit:?}"),
-            });
-        }
-    }
-    let arch_fingerprint = session.machine().core().arch_fingerprint();
     let ((counts, trace), extra) = session.observer().clone();
     Ok((
         PlanOutcome {
@@ -209,7 +199,7 @@ fn run_plan_with<X: PipelineObserver>(
             fills_per_entry: trace.fills_per_entry().to_vec(),
             counts,
             stats,
-            arch_fingerprint,
+            arch_fingerprint: outcome.arch_fingerprint,
         },
         extra,
     ))
@@ -219,7 +209,7 @@ fn run_plan_with<X: PipelineObserver>(
 mod tests {
     use super::*;
     use specrun_cpu::RunaheadTrigger;
-    use specrun_workloads::plan::KnobSpec;
+    use specrun_workloads::plan::GadgetKind;
 
     fn paper_plan(policy: PlanPolicy) -> Plan {
         let mut plan = Plan::generate(1, 0, true);

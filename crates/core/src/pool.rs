@@ -5,28 +5,12 @@
 //! [`ShardStats`]) lives in `specrun-workloads` as pure data; this module
 //! owns the session side, mirroring how [`crate::plan`] pairs with the
 //! fuzz plan grammar. Per shard it builds **one** [`ShardSnapshot`]: the
-//! machine configured (policy, then knobs), the campaign's warm-up
-//! applied, the gadget's programs built and predecoded once into
-//! `Arc<DecodedProgram>`s, every secret-independent attack step — text
-//! warming, BTB predictor training, planting the attack data around a
-//! placeholder secret, the gadget's pre-step, loading the victim — already
-//! executed, and the victim already *simulated* up to one cycle before
-//! its first load of the secret byte.
-//!
-//! That last step is what makes the snapshot worth sharing: the secret
-//! can influence the machine only through a simulated read of its byte,
-//! so every cycle before the first such read is identical for every
-//! secret. [`ShardSnapshot::prepare`] finds that cycle with a discovery
-//! run on a throwaway clone (a [`MemHierarchy`] read watch on the secret
-//! byte), then stops the snapshot one cycle short of it with
-//! [`Core::run_to`], which leaves fills and the pipeline in flight exactly
-//! as cycle-by-cycle stepping would. A unit then forks the snapshot,
-//! writes its secret (a host write: no timing, no cache state), and
-//! resumes with what is left of the cycle budget. A victim that halts
-//! without reading the secret is run to its halt; one that neither reads
-//! nor halts is not run ahead at all. The gadget programs store only to
-//! the probe results buffer and the stack, which a valid layout keeps off
-//! the secret byte, so no simulated write is skipped over either.
+//! machine composed like a plan's ([`crate::plan::machine_config`]), the
+//! campaign's warm-up applied, the attack's [`Attack::prologue`] run, and
+//! the victim advanced with [`Attack::run_to_first_secret_read`]. A unit
+//! forks the snapshot and runs [`Attack::unit`] with its secret — the
+//! same prologue and unit [`run_poc`](crate::attack::run_poc) runs for
+//! the figures and the fuzz plans, split at the secret's first read.
 //!
 //! Forks are cheap: cloning a [`Session`] clones the machine, whose
 //! backing store shares its pages `Arc`-per-page and unshares only what
@@ -37,173 +21,63 @@
 //! from scratch *without* the simulated prefix, and consumed in place,
 //! never cloned. Fork and fresh runs must agree **bit for bit** (leak
 //! verdict, signature counters, architectural fingerprint, errors) — the
-//! property the tests below pin and the `pool-repro` CI gate re-checks
-//! end to end against pinned report digests.
-//!
-//! [`MemHierarchy`]: specrun_mem::MemHierarchy
-//! [`Core::run_to`]: specrun_cpu::Core::run_to
+//! property the tests below pin and the pinned report digests in
+//! `specrun-lab`'s `pool_digests` tests re-check end to end.
 
-use std::sync::Arc;
-
-use specrun_cpu::{CancelToken, CpuConfig, RunExit};
-use specrun_isa::DecodedProgram;
+use specrun_cpu::CancelToken;
 use specrun_workloads::clock::WallClock;
 use specrun_workloads::harness::RunError;
-use specrun_workloads::plan::GadgetKind;
 use specrun_workloads::pool::{CampaignSpec, PoolReport, SessionPool, ShardSpec, ShardStats};
 use specrun_workloads::supervisor::UnitCtx;
 
 use crate::attack::covert::DEFAULT_THRESHOLD;
-use crate::attack::gadget;
-use crate::attack::poc::{build_pht_program, PocConfig};
-use crate::attack::variants::{build_btb_trainer, build_btb_victim, build_rsb_victim};
-use crate::attack::AttackLayout;
-use crate::session::{Policy, Session};
-
-/// BTB training runs performed while preparing a BTB shard's snapshot
-/// (the §4.4 variant's fixed warm-up, not the PHT `training_rounds` axis).
-const BTB_TRAINING_RUNS: u32 = 4;
-/// Cycle budget for one BTB trainer run (its normal exit is Wedged).
-const BTB_TRAINER_BUDGET: u64 = 100_000;
-
-/// The machine configuration one shard describes: Table 1, then the
-/// shard's policy, then the campaign's knobs — the same composition order
-/// as [`crate::plan::config_for`], so defense-only knobs stay gated on
-/// the policy having armed the defense.
-pub fn shard_config(spec: &CampaignSpec, shard: &ShardSpec) -> CpuConfig {
-    let mut cfg = CpuConfig::default();
-    Policy::from(shard.policy).apply(&mut cfg);
-    spec.knobs.apply(&mut cfg);
-    cfg
-}
-
-/// The attack layout a campaign describes (shared by every shard).
-pub fn campaign_layout(spec: &CampaignSpec) -> AttackLayout {
-    let l = &spec.layout;
-    AttackLayout {
-        bound_addr: l.bound_addr,
-        bound_value: l.bound_value,
-        array1_base: l.array1_base,
-        secret_addr: l.secret_addr,
-        probe_base: l.probe_base,
-        probe_stride: l.probe_stride,
-        probe_entries: l.probe_entries,
-        results_base: l.results_base,
-    }
-}
-
-/// What a unit does after the fork, besides simulating: everything in a
-/// snapshot but the machine. None of it depends on the secret.
-#[derive(Debug, Clone)]
-struct UnitSteps {
-    /// The attacker's probe program, run after the victim (BTB/RSB); the
-    /// PHT attack is one program that probes itself.
-    probe: Option<Arc<DecodedProgram>>,
-    secret_addr: u64,
-    max_cycles: u64,
-    /// Cycles of the victim's budget the snapshot has already simulated.
-    used: u64,
-    label: String,
-}
+use crate::attack::{check_halted, Attack, AttackLayout, PocConfig, PocOutcome};
+use crate::plan::machine_config;
+use crate::session::Session;
 
 /// One shard's warmed parent machine, stopped just before the victim's
-/// first read of the secret, plus what a unit does after it.
+/// first read of the secret, plus the attack a unit finishes on a fork.
 ///
 /// Everything secret-independent has already happened here; a unit is
-/// [`ShardSnapshot::run_forked`] — clone, write the secret, resume, read
-/// back.
+/// [`ShardSnapshot::run_forked`] — clone, write the secret, resume, probe.
 #[derive(Debug, Clone)]
 pub struct ShardSnapshot {
     session: Session,
-    unit: UnitSteps,
+    attack: Attack,
+    label: String,
 }
 
 impl ShardSnapshot {
     /// Builds and warms the shard's parent machine — configuration
-    /// composed, campaign warm-up applied, programs built and predecoded,
-    /// attacker/victim text warmed, (for BTB) the predictor trained, the
-    /// unit prologue run on a placeholder secret — and simulates the
-    /// victim up to one cycle before its first read of the secret byte.
+    /// composed, campaign warm-up applied, the attack prologue run on a
+    /// placeholder secret — and simulates the victim up to one cycle
+    /// before its first read of the secret byte.
     pub fn prepare(spec: &CampaignSpec, shard: &ShardSpec) -> ShardSnapshot {
         ShardSnapshot::build(spec, shard, true)
     }
 
     fn build(spec: &CampaignSpec, shard: &ShardSpec, run_ahead: bool) -> ShardSnapshot {
-        let layout = campaign_layout(spec);
-        let mut session =
-            Session::builder().config(shard_config(spec, shard)).layout(layout).build();
+        let cfg = PocConfig {
+            layout: AttackLayout::from(&spec.layout),
+            secret: 0,
+            training_rounds: spec.training_rounds,
+            nop_slide: shard.nop_slide as usize,
+            attack_filler: spec.attack_filler as usize,
+            threshold: DEFAULT_THRESHOLD,
+            max_cycles: spec.max_cycles,
+        };
+        let mut session = Session::builder()
+            .config(machine_config(shard.policy, &spec.knobs))
+            .layout(cfg.layout)
+            .build();
         for w in &spec.warm {
             session.warm(w.addr, w.len);
         }
-        let (victim, probe) = match shard.gadget {
-            GadgetKind::Pht => {
-                let cfg = PocConfig {
-                    layout,
-                    // The program encodes geometry and scale, never the
-                    // secret — that is what makes one predecode per shard
-                    // sound. The placeholder is unused.
-                    secret: 0,
-                    training_rounds: spec.training_rounds,
-                    nop_slide: shard.nop_slide as usize,
-                    attack_filler: spec.attack_filler as usize,
-                    threshold: DEFAULT_THRESHOLD,
-                    max_cycles: spec.max_cycles,
-                };
-                let program = build_pht_program(&cfg);
-                session.warm_text(&program);
-                session.plant(&layout, 0);
-                (program, None)
-            }
-            GadgetKind::Btb => {
-                let victim = build_btb_victim(&layout, shard.nop_slide as usize);
-                let benign = victim.symbol("benign").expect("BTB victim has a benign label");
-                let slot_addr = layout.bound_addr + 64;
-                session.write_value(slot_addr, 8, benign);
-                session.warm(slot_addr, 8);
-                // Train the BTB once for the whole shard: the predictor
-                // state is part of the snapshot every fork inherits.
-                let trainer = Arc::new(DecodedProgram::new(build_btb_trainer(&victim)));
-                for _ in 0..BTB_TRAINING_RUNS {
-                    session.run_predecoded(trainer.clone(), BTB_TRAINER_BUDGET);
-                }
-                // The trainer's normal exit is Wedged (it jumps to an
-                // address that exists only in the victim's image);
-                // discharge it so unit health checks see units only.
-                session.acknowledge_non_halt();
-                session.warm_text(&victim);
-                session.plant(&layout, 0);
-                // Evict the victim's jump-table slot, so the victim enters
-                // runahead and fetches down the trained BTB path.
-                session.flush(slot_addr);
-                (victim, Some(gadget::build_probe_program(&layout)))
-            }
-            GadgetKind::Rsb => {
-                let victim = build_rsb_victim(&layout, shard.nop_slide as usize);
-                session.warm_text(&victim);
-                session.plant(&layout, 0);
-                // D holds 0 so that architecturally F = benign.
-                session.write_value(layout.bound_addr, 8, 0);
-                session.warm(layout.bound_addr, 8);
-                (victim, Some(gadget::build_probe_program(&layout)))
-            }
-        };
-        session.reset_stats();
-        session.load_predecoded(Arc::new(DecodedProgram::new(victim)));
-        let used = if run_ahead {
-            run_to_first_secret_read(&mut session, layout.secret_addr, spec.max_cycles)
-        } else {
-            0
-        };
-        ShardSnapshot {
-            session,
-            unit: UnitSteps {
-                probe: probe.map(|p| Arc::new(DecodedProgram::new(p))),
-                secret_addr: layout.secret_addr,
-                max_cycles: spec.max_cycles,
-                used,
-                label: shard.label(),
-            },
+        let mut attack = Attack::prologue(&mut session, shard.gadget, &cfg);
+        if run_ahead {
+            attack.run_to_first_secret_read(&mut session);
         }
+        ShardSnapshot { session, attack, label: shard.label() }
     }
 
     /// The warmed parent session (read-only; forks clone it).
@@ -216,110 +90,24 @@ impl ShardSnapshot {
         &self,
         secret: u8,
         token: Option<CancelToken>,
-    ) -> Result<UnitResult, RunError> {
-        self.unit.run(self.session.clone(), secret, token)
-    }
-
-    /// Runs one unit on the snapshot's own session, moved out of the
-    /// snapshot rather than cloned — the never-forked path
-    /// [`run_unit_fresh`] takes.
-    pub fn run_consuming(
-        self,
-        secret: u8,
-        token: Option<CancelToken>,
-    ) -> Result<UnitResult, RunError> {
-        self.unit.run(self.session, secret, token)
+    ) -> Result<PocOutcome, RunError> {
+        run_unit(&self.attack, &self.label, self.session.clone(), secret, token)
     }
 }
 
-/// Simulates the loaded victim up to one cycle before its first read of
-/// the byte at `secret_addr` (or to its halt, if it halts without one)
-/// and returns the cycles spent. A discovery run on a throwaway clone,
-/// with a read watch on the byte, finds that cycle; a victim that neither
-/// reads the secret nor halts within `budget` is not run at all.
-fn run_to_first_secret_read(session: &mut Session, secret_addr: u64, budget: u64) -> u64 {
-    let start = session.core().cycle();
-    let mut discovery = session.clone();
-    let core = discovery.core_mut();
-    core.mem_mut().watch_reads(secret_addr, secret_addr + 1);
-    core.run_to(start.saturating_add(budget));
-    let stop = match core.mem().first_watched_read() {
-        Some(read) => read - 1,
-        None if core.is_halted() => core.cycle(),
-        None => return 0,
-    };
-    session.core_mut().run_to(stop);
-    session.core().cycle() - start
-}
-
-impl UnitSteps {
-    /// One unit on `session` (a fork, or the consumed snapshot): write the
-    /// secret, resume the victim with the rest of its budget, run the
-    /// probe where the gadget has one, read the verdict back.
-    fn run(
-        &self,
-        mut session: Session,
-        secret: u8,
-        token: Option<CancelToken>,
-    ) -> Result<UnitResult, RunError> {
-        session.machine_mut().set_cancel_token(token);
-        session.write_bytes(self.secret_addr, &[secret]);
-        session.run(self.max_cycles - self.used);
-        let stats = session.stats();
-        let (runahead_entries, inv_branches) =
-            (stats.runahead_entries, stats.inv_unresolved_branches);
-        if let Some(probe) = &self.probe {
-            session.run_predecoded(probe.clone(), self.max_cycles);
-        }
-        let leaked = session.probe_timings().leaked_byte(DEFAULT_THRESHOLD, &[0]);
-        let committed = session.stats().committed;
-        let what = || format!("pool shard {} secret {secret}", self.label);
-        match session.first_non_halt() {
-            None => {}
-            // Every program ran on the spec's budget; the victim's was
-            // only split between the snapshot and the unit.
-            Some((RunExit::CycleLimit, _)) => {
-                return Err(RunError::CycleBudgetExceeded {
-                    what: what(),
-                    budget: self.max_cycles,
-                    committed,
-                });
-            }
-            Some((RunExit::Cancelled, _)) => {
-                return Err(RunError::Cancelled { what: what(), committed });
-            }
-            Some((exit, _)) => {
-                return Err(RunError::NoHalt {
-                    what: what(),
-                    detail: format!("a program exited with {exit:?}"),
-                });
-            }
-        }
-        Ok(UnitResult {
-            leaked,
-            expected: secret,
-            runahead_entries,
-            inv_branches,
-            arch_fingerprint: session.machine().core().arch_fingerprint(),
-        })
-    }
-}
-
-/// Everything one unit (one forked session, one secret) produced. Fork
-/// and fresh runs of the same unit must compare equal — `PartialEq` *is*
-/// the fork-fidelity invariant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UnitResult {
-    /// Byte the covert channel recovered, if any.
-    pub leaked: Option<u8>,
-    /// The planted secret.
-    pub expected: u8,
-    /// Runahead episodes the victim caused.
-    pub runahead_entries: u64,
-    /// Unresolved INV-source branches (the SPECRUN signature).
-    pub inv_branches: u64,
-    /// Architectural-state fingerprint after the unit's last program.
-    pub arch_fingerprint: u64,
+/// One unit on `session` (a fork, or a consumed snapshot): the attack's
+/// [`Attack::unit`] under the supervisor's token, then its health check.
+fn run_unit(
+    attack: &Attack,
+    label: &str,
+    mut session: Session,
+    secret: u8,
+    token: Option<CancelToken>,
+) -> Result<PocOutcome, RunError> {
+    session.machine_mut().set_cancel_token(token);
+    let outcome = attack.unit(&mut session, secret);
+    check_halted(&session, attack.max_cycles(), || format!("pool shard {label} secret {secret}"))?;
+    Ok(outcome)
 }
 
 /// The shard runner [`SessionPool::run_with`] expects: prepares the
@@ -352,8 +140,9 @@ pub fn run_unit_fresh(
     spec: &CampaignSpec,
     shard: &ShardSpec,
     secret: u8,
-) -> Result<UnitResult, RunError> {
-    ShardSnapshot::build(spec, shard, false).run_consuming(secret, None)
+) -> Result<PocOutcome, RunError> {
+    let ShardSnapshot { session, attack, label } = ShardSnapshot::build(spec, shard, false);
+    run_unit(&attack, &label, session, secret, None)
 }
 
 /// Runs a whole campaign with fork-based pooling under passive
@@ -367,7 +156,7 @@ pub fn run_campaign(spec: &CampaignSpec, threads: usize) -> PoolReport {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use specrun_workloads::plan::PlanPolicy;
+    use specrun_workloads::plan::{GadgetKind, PlanPolicy};
     use specrun_workloads::pool::ShardStatus;
 
     /// A cut-down campaign that still exercises every per-unit path.
@@ -422,12 +211,13 @@ mod tests {
         let spec = CampaignSpec::paper_matrix();
         for cell in &spec.shards {
             let snapshot = ShardSnapshot::prepare(&spec, cell);
-            let secret_addr = snapshot.unit.secret_addr;
+            let secret_addr = snapshot.session().layout().secret_addr;
             let mut next = snapshot.session().clone();
             let core = next.core_mut();
             if core.is_halted() {
                 // A victim that never reads the secret ran to its halt.
-                assert!(snapshot.unit.used > 0, "{}", cell.label());
+                let unadvanced = ShardSnapshot::build(&spec, cell, false);
+                assert!(core.cycle() > unadvanced.session().core().cycle(), "{}", cell.label());
                 continue;
             }
             core.mem_mut().watch_reads(secret_addr, secret_addr + 1);

@@ -7,7 +7,7 @@
 //! split at any cycle by `Core::run_to` must equal the unsplit run.
 
 use proptest::prelude::*;
-use specrun::attack::{build_pht_program, run_pht_poc, PocConfig};
+use specrun::attack::{build_pht_program, run_poc, GadgetKind, PocConfig};
 use specrun::session::Session;
 use specrun_cpu::{Core, CpuConfig, CpuStats, RunExit};
 use specrun_isa::IntReg;
@@ -112,7 +112,7 @@ fn fast_forward_is_invisible_to_the_attack_poc() {
     for ff in [true, false] {
         let cfg = CpuConfig { fast_forward: ff, ..CpuConfig::default() };
         let mut session = Session::builder().config(cfg).build();
-        let out = run_pht_poc(&mut session, &PocConfig::default());
+        let out = run_poc(&mut session, GadgetKind::Pht, &PocConfig::default());
         outcomes.push((out.leaked, out.expected, *session.core().stats()));
     }
     assert_eq!(outcomes[0], outcomes[1], "fast-forward changed the PoC outcome");
@@ -130,7 +130,7 @@ fn predecode_check_is_invisible_to_the_attack_poc() {
     for check in [true, false] {
         let cfg = CpuConfig { predecode_check: check, ..CpuConfig::default() };
         let mut session = Session::builder().config(cfg).build();
-        let out = run_pht_poc(&mut session, &PocConfig::default());
+        let out = run_poc(&mut session, GadgetKind::Pht, &PocConfig::default());
         outcomes.push((out.leaked, out.expected, *session.core().stats()));
     }
     assert_eq!(outcomes[0], outcomes[1], "predecode_check changed the PoC outcome");
